@@ -59,16 +59,10 @@ def execute_cell(item) -> bytes:
     """Run one ``(key, cell)`` pair and return its canonical blob bytes."""
     key, cell = item
     config = dataclasses.replace(cell.config, workers=1)
-    previous = obs.active()
-    telemetry = obs.activate(obs.Telemetry(
-        metrics=True,
-        tracing=False,
-        profiling=False,
-        causes=config.causes_enabled,
-        health=config.health_enabled,
-    ))
-    try:
-        totals: Optional[dict] = None
+    spec = obs.TelemetrySpec(metrics=True, causes=config.causes_enabled,
+                             health=config.health_enabled)
+    totals: Optional[dict] = None
+    with obs.capture(spec) as snapshots:
         if cell.kind == SWEEP:
             study = AutomatedViewingStudy(config)
             dataset = study.run_batch(
@@ -83,13 +77,6 @@ def execute_cell(item) -> bytes:
             totals = dict(sorted(population.totals.items()))
         else:
             raise ValueError(f"unknown cell kind {cell.kind!r}")
-        snapshots: Dict[str, dict] = {"metrics": telemetry.metrics.snapshot()}
-        if config.causes_enabled:
-            snapshots["causes"] = telemetry.causes.snapshot()
-        if config.health_enabled:
-            snapshots["health"] = telemetry.health.snapshot()
-    finally:
-        obs.activate(previous) if previous.enabled else obs.deactivate()
     return encode_result(CellResult(
         key=key,
         label=cell.label(),

@@ -8,9 +8,9 @@ A campaign run is a fixpoint computation over the store:
    exists *and re-hashes to its address* is memoized; a missing or
    corrupt blob demotes the cell back to pending (and is reported —
    never silently served).
-3. **Execute** the pending cells — inline when ``workers <= 1``,
-   otherwise whole cells fan out over
-   :func:`repro.core.parallel.run_tasks` — journaling each completed
+3. **Execute** the pending cells — whole cells go through
+   :func:`repro.core.parallel.run_tasks`, which fans them out over
+   ``workers`` processes or runs them inline — journaling each completed
    cell (blob first, then the record: the journal may under-promise,
    never over-promise) plus a running checkpoint record.
 4. **Finalize**: decode every planned blob in plan order and write the
@@ -48,6 +48,7 @@ from repro.campaign.store import (
     CorruptBlobError,
     JournalScan,
 )
+from repro.core.parallel import run_tasks
 from repro.obs import MetricsRegistry
 from repro.obs.export import render_metrics
 
@@ -196,23 +197,14 @@ class CampaignRunner:
             ]
             self._write_progress(summary)
 
-            if pending:
-                if self.workers > 1 and len(pending) > 1:
-                    from repro.core.parallel import run_tasks
-
-                    run_tasks(
-                        execute_cell,
-                        pending,
-                        workers=self.workers,
-                        on_result=lambda index, blob: self._commit_cell(
-                            pending[index][0], pending[index][1], blob, summary
-                        ),
-                    )
-                else:
-                    for key, cell in pending:
-                        blob = execute_cell((key, cell))
-                        self._commit_cell(key, cell, blob, summary)
-
+            run_tasks(
+                execute_cell,
+                pending,
+                workers=self.workers,
+                on_result=lambda index, blob: self._commit_cell(
+                    pending[index][0], pending[index][1], blob, summary
+                ),
+            )
             summary.artifacts = self._finalize()
             self.store.append_record({
                 "kind": RECORD_CHECKPOINT,

@@ -1,29 +1,33 @@
-"""Process-parallel execution of prepared viewing sessions.
+"""The process pool and the session executor.
+
+Every process fan-out in the repo goes through :func:`run_tasks`: an
+index-ordered map of a module-level callable over picklable, hermetic
+items, run inline when there is nothing to fan out.  Every pooled
+session goes through :func:`run_setups`, which needs nothing from the
+worker process but its arguments — there is no worker bootstrap.
 
 The automated-viewing study runs in two phases (see
 :meth:`~repro.core.study.AutomatedViewingStudy.run_batch`): phase one
 samples every :class:`~repro.core.session.SessionSetup` serially — world
 evolution and the teleport RNG stay on one thread, so the sampled
 population is byte-for-byte the same regardless of worker count — and
-phase two executes the expensive :meth:`ViewingSession.run` calls.  This
-module is phase two's fan-out: chunked dispatch over a
-:class:`concurrent.futures.ProcessPoolExecutor` with an index-ordered
-merge, so the parallel path returns results in exactly the order the
-serial path would have produced them.
+phase two executes the expensive :meth:`ViewingSession.run` calls,
+fanned out by :func:`run_sessions` in contiguous chunks.
 
-Why the results are bit-identical to the serial path:
+Why pooled results are bit-identical to the serial path:
 
 * each session owns a private :class:`~repro.netsim.events.EventLoop`
   and derives every RNG stream from its own ``setup.seed``;
 * the only shared state a session reads is the
   :class:`~repro.service.ingest.IngestPool`, which is immutable after
-  construction and fully determined by the study seed — each worker
-  rebuilds it from that seed in :func:`_worker_init`;
-* telemetry never feeds back into simulation state, so workers record
-  metrics into a private registry whose snapshot the parent folds in
-  with :meth:`~repro.obs.metrics.MetricsRegistry.merge_from`.
+  construction and fully determined by the study seed —
+  :func:`run_setups` rebuilds it from ``config.seed``;
+* telemetry never feeds back into simulation state, and each session
+  records into private instruments whose snapshot the parent folds in
+  session order with :meth:`~repro.obs.Telemetry.merge` — so the merged
+  telemetry is the same for every worker count.
 
-A worker that raises propagates the exception to the parent through
+A task that raises propagates the exception to the parent through
 ``Future.result()`` — a poisoned setup fails the batch loudly instead of
 hanging or silently dropping sessions.
 """
@@ -33,14 +37,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import obs
+from repro.core.config import StudyConfig
 from repro.core.qoe import SessionQoE
-from repro.netsim import fastpath
 from repro.core.session import SessionSetup, ViewingSession
+from repro.netsim import fastpath
 from repro.service.ingest import IngestPool
-from repro.util.rng import Seedable, child_rng
+from repro.util.rng import child_rng
 
 #: Chunks dispatched per worker: small enough to balance skewed session
 #: costs (a 0.5 Mbps session simulates far more packet events than an
@@ -62,98 +67,48 @@ class SessionResult:
     down_bytes: int
 
 
-#: Worker-process globals, installed once per worker by :func:`_worker_init`.
-_WORKER_INGEST: Optional[IngestPool] = None
-_WORKER_METRICS = False
-_WORKER_CAUSES = False
-_WORKER_HEALTH = False
-
-
-def _worker_init(
-    study_seed: Seedable,
-    metrics_enabled: bool,
-    causes_enabled: bool = False,
-    health_enabled: bool = False,
-    exact_network: bool = False,
-) -> None:
-    """Bootstrap one worker: rebuild the frozen ingest pool from the seed.
-
-    ``IngestPool`` consumes its RNG entirely at construction and is
-    immutable afterwards, so rebuilding it from
-    ``child_rng(study_seed, "ingest-pool")`` yields the identical fleet
-    the parent study holds.  Any telemetry state inherited over fork is
-    discarded — each chunk activates (and snapshots) its own registry.
-    """
-    global _WORKER_INGEST, _WORKER_METRICS, _WORKER_CAUSES, _WORKER_HEALTH
-    obs.deactivate()
-    # Mirror the parent's network-path mode: a forked worker inherits the
-    # parent's flag, but a spawned one starts at the default.
-    fastpath.set_enabled(not exact_network)
-    _WORKER_INGEST = IngestPool(child_rng(study_seed, "ingest-pool"))
-    _WORKER_METRICS = metrics_enabled
-    _WORKER_CAUSES = causes_enabled
-    _WORKER_HEALTH = health_enabled
-
-
-def _run_chunk(
+def run_setups(
+    config: StudyConfig,
+    spec: obs.TelemetrySpec,
     setups: Sequence[SessionSetup],
     start: int = 0,
-) -> Tuple[List[SessionResult], Optional[dict]]:
-    """Run one contiguous chunk of prepared setups inside a worker.
+) -> Tuple[List[SessionResult], List[dict]]:
+    """Run prepared setups in order: the one session executor.
 
-    Returns the per-session results in input order plus a telemetry
-    snapshot covering exactly this chunk (``None`` when every surface is
-    off).  The snapshot maps surface name -> surface snapshot, with keys
-    only for enabled surfaces: ``{"metrics": ..., "causes": ...,
-    "health": ...}``.  Telemetry is fresh per chunk so a worker that
-    serves several chunks never double-counts.
+    Rebuilds the study's ingest pool from ``config.seed``, runs on the
+    network path ``config.exact_network`` names, and records each
+    session in its own :func:`obs.capture` scope.  Returns the results
+    and one telemetry snapshot per session, both in input order.
 
-    ``start`` is the chunk's offset in the full setup sequence: a
-    session that raises gets the *global* index of the failing cell
+    ``start`` is the offset of ``setups`` in the caller's full sequence:
+    a session that raises gets the *global* index of the failing cell
     attached as ``cell_index`` (an instance attribute, so it survives
-    the pickle trip back to the parent alongside the remote traceback),
-    letting batch and campaign callers name the poisoned unit instead
-    of guessing which of hundreds of sessions died.
+    the pickle trip back to the parent alongside the remote traceback).
     """
-    if _WORKER_INGEST is None:
-        raise RuntimeError("worker not initialized; dispatch via run_sessions")
-    telemetry: Optional[obs.Telemetry] = None
-    if _WORKER_METRICS or _WORKER_CAUSES or _WORKER_HEALTH:
-        telemetry = obs.activate(
-            obs.Telemetry(
-                metrics=_WORKER_METRICS,
-                tracing=False,
-                profiling=False,
-                causes=_WORKER_CAUSES,
-                health=_WORKER_HEALTH,
-            )
-        )
-    try:
-        results = []
+    ingest = IngestPool(child_rng(config.seed, "ingest-pool"))
+    results: List[SessionResult] = []
+    snapshots: List[dict] = []
+    with fastpath.exact_network(config.exact_network):
         for offset, setup in enumerate(setups):
-            try:
-                artifacts = ViewingSession(setup, ingest=_WORKER_INGEST).run()
-            except Exception as error:
-                error.cell_index = start + offset  # type: ignore[attr-defined]
-                raise
+            with obs.capture(spec) as snapshot:
+                try:
+                    artifacts = ViewingSession(setup, ingest=ingest).run()
+                except Exception as error:
+                    error.cell_index = start + offset  # type: ignore[attr-defined]
+                    raise
             results.append(SessionResult(
                 qoe=artifacts.qoe,
                 avatar_bytes=artifacts.avatar_bytes,
                 down_bytes=artifacts.total_down_bytes,
             ))
-        snapshot: Optional[dict] = None
-        if telemetry is not None:
-            snapshot = {}
-            if _WORKER_METRICS:
-                snapshot["metrics"] = telemetry.metrics.snapshot()
-            if _WORKER_CAUSES:
-                snapshot["causes"] = telemetry.causes.snapshot()
-            if _WORKER_HEALTH:
-                snapshot["health"] = telemetry.health.snapshot()
-    finally:
-        if telemetry is not None:
-            obs.deactivate()
-    return results, snapshot
+            snapshots.append(snapshot)
+    return results, snapshots
+
+
+def _run_chunk(item) -> Tuple[List[SessionResult], List[dict]]:
+    """Pool task of :func:`run_sessions`: one contiguous chunk."""
+    config, spec, setups, start = item
+    return run_setups(config, spec, setups, start)
 
 
 def chunk_bounds(n_items: int, workers: int) -> List[Tuple[int, int]]:
@@ -172,53 +127,33 @@ def chunk_bounds(n_items: int, workers: int) -> List[Tuple[int, int]]:
 
 
 def run_sessions(
+    config: StudyConfig,
+    spec: obs.TelemetrySpec,
     setups: Sequence[SessionSetup],
     *,
-    study_seed: Seedable,
     workers: int,
-    metrics_enabled: bool = False,
-    causes_enabled: bool = False,
-    health_enabled: bool = False,
-    exact_network: bool = False,
 ) -> Tuple[List[SessionResult], List[dict]]:
-    """Fan ``ViewingSession.run()`` out across ``workers`` processes.
-
-    Results come back index-ordered (position ``i`` belongs to
-    ``setups[i]``), and the returned snapshots are in chunk order, so
-    folding them into the parent registry is deterministic.  Cause
-    ledgers merge as per-context dict unions (each session's floats stay
-    together), which is why attribution reports are byte-identical for
-    every worker count.  Worker exceptions re-raise here, in the parent.
-    """
-    if workers < 2:
-        raise ValueError("run_sessions needs at least two workers; "
-                         "the serial path handles workers=1")
-    results: List[Optional[SessionResult]] = [None] * len(setups)
+    """:func:`run_setups` fanned out over ``workers`` processes in
+    contiguous chunks.  Results and per-session snapshots come back in
+    input order, exactly as one :func:`run_setups` call would return
+    them; worker exceptions re-raise here, in the parent."""
+    chunks = [
+        (config, spec, setups[start:stop], start)
+        for start, stop in chunk_bounds(len(setups), workers)
+    ]
+    results: List[SessionResult] = []
     snapshots: List[dict] = []
-    bounds = chunk_bounds(len(setups), workers)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(study_seed, metrics_enabled, causes_enabled,
-                  health_enabled, exact_network),
-    ) as pool:
-        futures = [
-            (start, pool.submit(_run_chunk, list(setups[start:stop]), start))
-            for start, stop in bounds
-        ]
-        for start, future in futures:
-            chunk_results, snapshot = future.result()
-            for offset, result in enumerate(chunk_results):
-                results[start + offset] = result
-            if snapshot is not None:
-                snapshots.append(snapshot)
-    assert all(result is not None for result in results)
-    return results, snapshots  # type: ignore[return-value]
+    for chunk_results, chunk_snapshots in run_tasks(
+        _run_chunk, chunks, workers=workers
+    ):
+        results.extend(chunk_results)
+        snapshots.extend(chunk_snapshots)
+    return results, snapshots
 
 
 def _run_task(func, index: int, item):
-    """Worker-side shim for :func:`run_tasks`: tag failures with the
-    task index (instance attribute -> survives the pickle trip)."""
+    """Task shim for :func:`run_tasks`: tag failures with the task index
+    (an instance attribute, so it survives the pickle trip)."""
     try:
         return func(item)
     except Exception as error:
@@ -235,28 +170,37 @@ def run_tasks(
 ) -> List:
     """Index-ordered process fan-out for hermetic task units.
 
-    The generic sibling of :func:`run_sessions`, used by the campaign
-    runner to dispatch whole cells: ``func`` must be a module-level
-    callable (pickled by reference) and each item must be picklable and
-    hermetic — the result may depend only on the item.  Results come
-    back in input order; ``on_result(index, result)`` fires in the
-    parent, also in input order, as each prefix of the submission
-    completes — which is what lets a caller checkpoint finished work
-    incrementally without ever observing completion order.  A task that
-    raises re-raises here with ``task_index`` attached.
+    ``func`` must be a module-level callable (pickled by reference) and
+    each item must be picklable and hermetic — the result may depend
+    only on the item.  Results come back in input order;
+    ``on_result(index, result)`` fires in the parent, also in input
+    order, as each prefix of the submission completes — which is what
+    lets a caller checkpoint finished work incrementally without ever
+    observing completion order.  A task that raises re-raises here with
+    ``task_index`` attached.
+
+    With ``workers < 2`` or fewer than two items there is nothing to fan
+    out: the items run inline, one after the other, through the same
+    shim — same results, same ``on_result`` order, same ``task_index``.
     """
-    if workers < 2:
-        raise ValueError("run_tasks needs at least two workers; "
-                         "run items inline for the serial path")
-    results: List = []
+    if workers < 2 or len(items) < 2:
+        return _collect(
+            (_run_task(func, index, item) for index, item in enumerate(items)),
+            on_result,
+        )
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_task, func, index, item)
             for index, item in enumerate(items)
         ]
-        for index, future in enumerate(futures):
-            result = future.result()
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
+        return _collect((future.result() for future in futures), on_result)
+
+
+def _collect(outcomes, on_result) -> List:
+    """Drain ``outcomes`` in order, firing ``on_result`` per result."""
+    results: List = []
+    for index, result in enumerate(outcomes):
+        results.append(result)
+        if on_result is not None:
+            on_result(index, result)
     return results

@@ -2,38 +2,37 @@
 
 :mod:`repro.world` advances viewer cohorts with closed-form aggregate
 dynamics and plans a stratified sample of members to promote to full
-fidelity.  This module supplies the two halves the world layer cannot
-import itself (it sits *below* ``core`` in the layer DAG):
+fidelity.  This module drives it — the world layer sits *below* ``core``
+in the layer DAG, so it neither fans out nor runs sessions itself:
 
-* :func:`run_expansions` — the injected expansion runner.  A module-level
-  callable (pickled by reference into pool workers) that rebuilds each
-  sampled member's exact :class:`~repro.core.session.SessionSetup` and
-  runs it through the unchanged per-packet simulator — same
-  :class:`~repro.service.ingest.IngestPool` reconstruction, faults, and
-  netsim fast path as :mod:`repro.core.parallel` workers;
-* :class:`PopulationStudy` — the orchestration:
-  serial population sampling in the parent (phase 1, exactly like
-  :meth:`~repro.core.study.AutomatedViewingStudy.run_batch`), sharded
-  world advancement over the process pool (phase 2), telemetry snapshot
-  merge, and a :class:`PopulationResult` joining the exact population
-  facts, the cohort aggregates, and the anchored session dataset.
+* :func:`setup_for` rebuilds a sampled member's exact
+  :class:`~repro.core.session.SessionSetup`;
+* :class:`PopulationStudy` is the orchestration: serial population
+  sampling in the parent (phase 1, exactly like
+  :meth:`~repro.core.study.AutomatedViewingStudy.run_batch`), then
+  shards fanned out over :func:`repro.core.parallel.run_tasks` (phase
+  2).  Each task advances one shard with
+  :func:`~repro.world.shards.compute_shard` and runs its promoted
+  members through :func:`~repro.core.parallel.run_setups` — the same
+  executor, ingest pool, faults and network path as a study batch.  The
+  parent folds shards, per-session telemetry snapshots and results in
+  shard order into a :class:`PopulationResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.automation.devices import GALAXY_S3, GALAXY_S4, DeviceProfile
 from repro.core.config import StudyConfig
-from repro.core.parallel import SessionResult
-from repro.core.session import SessionSetup, ViewingSession
+from repro.core.parallel import SessionResult, run_setups, run_tasks
+from repro.core.session import SessionSetup
 from repro.core.study import StudyDataset
 from repro.faults.plan import FaultPlan
-from repro.service.ingest import IngestPool
 from repro.service.selection import DeliveryProtocol
-from repro.util.rng import Seedable, child_rng
+from repro.util.rng import Seedable
 from repro.world.cohorts import CohortAggregate
 from repro.world.popularity import (
     Population,
@@ -42,7 +41,14 @@ from repro.world.popularity import (
     sample_population,
 )
 from repro.world.sampler import ExpansionRequest, joinable_min_duration_s
-from repro.world.shards import WorldContext, WorldResult, run_world
+from repro.world.shards import (
+    SHARDS_PER_WORKER,
+    ShardResult,
+    WorldContext,
+    WorldResult,
+    compute_shard,
+    shard_bounds,
+)
 
 #: Device roster by name — expansion requests carry the name (a plain
 #: string pickles smaller and keeps the world layer free of automation
@@ -85,70 +91,19 @@ def setup_for(
     )
 
 
-def run_expansions(
-    world_seed: Seedable,
-    requests: Sequence[ExpansionRequest],
-    faults: Optional[FaultPlan] = None,
-    metrics_enabled: bool = False,
-    causes_enabled: bool = False,
-    health_enabled: bool = False,
-) -> Tuple[List[SessionResult], Optional[List[dict]]]:
-    """Run a shard's expansion requests at full fidelity, in order.
-
-    The injected runner for :class:`~repro.world.shards.WorldContext`.
-    The ingest pool is rebuilt from ``child_rng(world_seed,
-    "ingest-pool")`` — the identical frozen fleet every study process
-    holds — and results ship back in the slim picklable
-    :class:`~repro.core.parallel.SessionResult` form.
-
-    Telemetry is captured **per session** in a private registry whose
-    snapshot ships back alongside the result (surface name -> snapshot,
-    one dict per session; ``None`` when every surface is off).  Finer
-    than :mod:`repro.core.parallel`'s per-chunk snapshots on purpose:
-    the parent folds session snapshots in global session order, so the
-    float accumulation tree — and with it the merged registry, byte for
-    byte — is independent of shard *and* worker count.  Session-level
-    tracing spans are not collected here for the same reason.
-    """
-    ingest = IngestPool(child_rng(world_seed, "ingest-pool"))
-    telemetry_on = metrics_enabled or causes_enabled or health_enabled
-    results: List[SessionResult] = []
-    snapshots: Optional[List[dict]] = [] if telemetry_on else None
-    for request in requests:
-        previous = obs.active()
-        telemetry: Optional[obs.Telemetry] = None
-        if telemetry_on:
-            telemetry = obs.activate(obs.Telemetry(
-                metrics=metrics_enabled,
-                tracing=False,
-                profiling=False,
-                causes=causes_enabled,
-                health=health_enabled,
-            ))
-        try:
-            artifacts = ViewingSession(
-                setup_for(world_seed, request, faults), ingest=ingest
-            ).run()
-        finally:
-            if telemetry is not None:
-                obs.activate(previous) if previous.enabled else obs.deactivate()
-        results.append(
-            SessionResult(
-                qoe=artifacts.qoe,
-                avatar_bytes=artifacts.avatar_bytes,
-                down_bytes=artifacts.total_down_bytes,
-            )
-        )
-        if telemetry is not None and snapshots is not None:
-            snapshot: dict = {}
-            if metrics_enabled:
-                snapshot["metrics"] = telemetry.metrics.snapshot()
-            if causes_enabled:
-                snapshot["causes"] = telemetry.causes.snapshot()
-            if health_enabled:
-                snapshot["health"] = telemetry.health.snapshot()
-            snapshots.append(snapshot)
-    return results, snapshots
+def _advance_shard(
+    item,
+) -> Tuple[ShardResult, List[SessionResult], List[dict]]:
+    """Pool task of :meth:`PopulationStudy.run`: advance one shard, then
+    run its promoted members at full fidelity, in order."""
+    config, spec, context, shard_index, start, audiences = item
+    shard = compute_shard(context, shard_index, start, audiences)
+    setups = [
+        setup_for(config.seed, request, config.faults)
+        for request in shard.requests
+    ]
+    results, snapshots = run_setups(config, spec, setups)
+    return shard, results, snapshots
 
 
 @dataclass
@@ -236,37 +191,38 @@ class PopulationStudy:
         )
 
         # ---- phase 2: sharded world advancement -------------------------
+        # ``shards`` fixes the number of work units (default workers x
+        # SHARDS_PER_WORKER); any value yields byte-identical results
+        # because no draw is keyed by shard.
         context = WorldContext(
             seed=self.config.seed,
             watch_seconds=self.config.watch_seconds,
             hls_viewer_threshold=self.config.hls_viewer_threshold,
             sample_rate=sample_rate,
-            faults=self.config.faults,
-            exact_network=self.config.exact_network,
-            metrics_enabled=metrics_on,
-            causes_enabled=telemetry.enabled and telemetry.causes_on,
-            health_enabled=telemetry.enabled and telemetry.health_on,
-            runner=run_expansions,
         )
-        world = run_world(
-            context,
-            population.viewers_by_broadcaster,
-            workers=workers,
-            shards=shards,
+        spec = obs.TelemetrySpec.of(telemetry)
+        audiences = population.viewers_by_broadcaster
+        bounds = shard_bounds(
+            len(audiences),
+            shards if shards is not None else max(1, workers) * SHARDS_PER_WORKER,
         )
-        for snapshot in world.telemetry_snapshots:
-            if snapshot.get("metrics") is not None:
-                telemetry.metrics.merge_from(snapshot["metrics"])
-            if snapshot.get("causes") is not None:
-                telemetry.causes.merge_from(snapshot["causes"])
-            if snapshot.get("health") is not None:
-                telemetry.health.merge_from(snapshot["health"])
-
+        tasks = [
+            (self.config, spec, context, shard_index, start,
+             audiences[start:stop])
+            for shard_index, (start, stop) in enumerate(bounds)
+        ]
+        world = WorldResult()
         sampled = StudyDataset()
-        for result in world.session_results:
-            sampled.sessions.append(result.qoe)
-            sampled.avatar_bytes.append(result.avatar_bytes)
-            sampled.down_bytes.append(result.down_bytes)
+        # Shard order, never completion order: pooled worlds match inline
+        # ones byte for byte.
+        for shard, results, snapshots in run_tasks(
+            _advance_shard, tasks, workers=workers
+        ):
+            world.fold(shard)
+            for snapshot in snapshots:
+                telemetry.merge(snapshot)
+            for result in results:
+                sampled.add(result)
 
         if metrics_on:
             metrics = telemetry.metrics

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import obs
 from repro.automation.devices import GALAXY_S3, GALAXY_S4, DeviceProfile
 from repro.core.config import StudyConfig
-from repro.core.parallel import run_sessions
+from repro.core.parallel import SessionResult, run_sessions
 from repro.core.qoe import SessionQoE
 from repro.core.session import SessionArtifacts, SessionSetup, ViewingSession
 from repro.netsim import fastpath
@@ -60,6 +60,12 @@ class StudyDataset:
             if math.isclose(s.bandwidth_limit_mbps, limit_mbps,
                             rel_tol=1e-9, abs_tol=1e-12)
         ]
+
+    def add(self, result: SessionResult) -> None:
+        """Append one session's pooled result."""
+        self.sessions.append(result.qoe)
+        self.avatar_bytes.append(result.avatar_bytes)
+        self.down_bytes.append(result.down_bytes)
 
     def extend(self, other: "StudyDataset") -> None:
         self.sessions.extend(other.sessions)
@@ -203,71 +209,45 @@ class AutomatedViewingStudy:
                 ).inc(dataset.shortfall)
 
         # ---- phase 2: session execution ---------------------------------
+        if workers > 1 and len(setups) > 1:
+            results, snapshots = run_sessions(
+                self.config, obs.TelemetrySpec.of(telemetry), setups,
+                workers=workers,
+            )
+            for snapshot in snapshots:
+                telemetry.merge(snapshot)
+            for result in results:
+                dataset.add(result)
+            if metrics_on and results:
+                self._count_sessions(telemetry, limit_label, dataset,
+                                     len(results))
+            return dataset
         # The network-path switch scopes to execution only: sampling never
         # builds connections, and restoring the previous value keeps a
         # study from leaking its mode into the caller's process state.
-        previous_fast = fastpath.enabled()
-        fastpath.set_enabled(not self.config.exact_network)
-        try:
-            self._execute_batch(setups, dataset, workers, telemetry,
-                                metrics_on, limit_label)
-        finally:
-            fastpath.set_enabled(previous_fast)
-        return dataset
-
-    def _execute_batch(self, setups, dataset, workers, telemetry,
-                       metrics_on, limit_label) -> None:
-        """Phase 2 of :meth:`run_batch`: run prepared setups (inline or
-        fanned out) and fold results into ``dataset``."""
-        if workers > 1 and len(setups) > 1:
-            results, snapshots = run_sessions(
-                setups,
-                study_seed=self.config.seed,
-                workers=workers,
-                metrics_enabled=metrics_on,
-                causes_enabled=telemetry.enabled and telemetry.causes_on,
-                health_enabled=telemetry.enabled and telemetry.health_on,
-                exact_network=self.config.exact_network,
-            )
-            for snapshot in snapshots:
-                if snapshot.get("metrics") is not None:
-                    telemetry.metrics.merge_from(snapshot["metrics"])
-                if snapshot.get("causes") is not None:
-                    telemetry.causes.merge_from(snapshot["causes"])
-                if snapshot.get("health") is not None:
-                    telemetry.health.merge_from(snapshot["health"])
-            for result in results:
-                dataset.sessions.append(result.qoe)
-                dataset.avatar_bytes.append(result.avatar_bytes)
-                dataset.down_bytes.append(result.down_bytes)
-            if metrics_on and results:
-                metrics = telemetry.metrics
-                metrics.counter(
-                    "study_sessions_total", "Study sessions completed",
-                    limit=limit_label,
-                ).inc(len(results))
-                metrics.gauge(
-                    "study_limit_progress",
-                    "Sessions completed toward the per-limit target",
-                    limit=limit_label,
-                ).set(float(len(dataset.sessions)))
-        else:
+        with fastpath.exact_network(self.config.exact_network):
             for setup in setups:
                 artifacts = self.run_session(setup)
                 dataset.sessions.append(artifacts.qoe)
                 dataset.avatar_bytes.append(artifacts.avatar_bytes)
                 dataset.down_bytes.append(artifacts.total_down_bytes)
                 if metrics_on:
-                    metrics = telemetry.metrics
-                    metrics.counter(
-                        "study_sessions_total", "Study sessions completed",
-                        limit=limit_label,
-                    ).inc()
-                    metrics.gauge(
-                        "study_limit_progress",
-                        "Sessions completed toward the per-limit target",
-                        limit=limit_label,
-                    ).set(float(len(dataset.sessions)))
+                    self._count_sessions(telemetry, limit_label, dataset, 1)
+        return dataset
+
+    @staticmethod
+    def _count_sessions(telemetry, limit_label, dataset, completed) -> None:
+        """Record ``completed`` more sessions toward the limit's target."""
+        metrics = telemetry.metrics
+        metrics.counter(
+            "study_sessions_total", "Study sessions completed",
+            limit=limit_label,
+        ).inc(completed)
+        metrics.gauge(
+            "study_limit_progress",
+            "Sessions completed toward the per-limit target",
+            limit=limit_label,
+        ).set(float(len(dataset.sessions)))
 
     def run_unlimited(self, n_sessions: Optional[int] = None) -> StudyDataset:
         """The unshaped dataset (paper: 1796 RTMP + 1586 HLS sessions)."""

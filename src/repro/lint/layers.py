@@ -32,9 +32,9 @@ crawler/core -> experiments/analysis``)::
 the experiment seed tree.  The O-rules pin that down.
 
 Process-level parallelism is likewise pinned down:
-``repro.core.parallel`` (session fan-out) and ``repro.world.shards``
-(population-shard fan-out) are the only modules that may import
-``multiprocessing``/``concurrent.futures``
+``repro.core.parallel`` — home of the one pool, ``run_tasks``, behind
+both study batches and population shards — is the only module that may
+import ``multiprocessing``/``concurrent.futures``
 (:data:`PROCESS_POOL_MODULES`, rule L304).
 
 A package missing from :data:`RANKS` fails the lint run (L303): adding
@@ -102,11 +102,11 @@ SIM_PACKAGES = frozenset(
 
 #: The only modules allowed to import ``multiprocessing`` /
 #: ``concurrent.futures`` (L304).  Process fan-out must stay behind
-#: :mod:`repro.core.parallel` and the world-shard driver
-#: :mod:`repro.world.shards`, which guarantee serial sampling, seeded
-#: worker bootstrap, and index-ordered merges — ad-hoc pools elsewhere
-#: would have none of those and silently break bit-identical replays.
-PROCESS_POOL_MODULES = frozenset({"repro.core.parallel", "repro.world.shards"})
+#: :func:`repro.core.parallel.run_tasks`, which dispatches hermetic
+#: tasks with no worker bootstrap and merges them in index order —
+#: ad-hoc pools elsewhere would have none of that and silently break
+#: bit-identical replays.
+PROCESS_POOL_MODULES = frozenset({"repro.core.parallel"})
 
 
 def rank_of(package: str) -> Optional[int]:

@@ -15,8 +15,8 @@ the two:
 * **L304** — ``multiprocessing``/``concurrent.futures`` imported outside
   the declared process-pool modules (``layers.PROCESS_POOL_MODULES``);
   worker fan-out lives behind ``repro.core.parallel`` only, where serial
-  sampling, seeded worker bootstrap, and index-ordered merges keep
-  parallel runs bit-identical to serial ones.
+  sampling, hermetic tasks, and index-ordered merges keep parallel runs
+  bit-identical to serial ones.
 """
 
 from __future__ import annotations

@@ -35,13 +35,14 @@ with *micro-events* kept in per-hop FIFO deques owned by the loop's
   loop until the bound is reached or a callback fires.
 
 What is intentionally **not** preserved in fast mode: per-hop event-loop
-callbacks (so ``EventLoop.events_processed`` and profiler callback-site
-attribution shrink) and capture-record order between packets with
-exactly equal float timestamps (sums and per-flow order are unchanged).
-Simulation *results* — delivery times, QoE, datasets — are bit-identical
-to the exact path; run with :func:`exact_network` (or
-``StudyConfig.exact_network``) when per-packet event traces themselves
-are the object of study.
+callbacks, so ``EventLoop.events_processed`` and profiler callback-site
+attribution shrink.  Simulation *results* — delivery times, QoE,
+datasets — are bit-identical to the exact path, and so are packet
+captures, record for record and in the same order: taps fire at the
+same hops in the same ``(time, seq)`` order, ties between packets with
+exactly equal timestamps included.  Run with :func:`exact_network` (or
+``StudyConfig.exact_network``) when the per-hop event stream itself is
+the object of study.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ def set_enabled(flag: bool) -> None:
 
 
 @contextmanager
-def exact_network() -> Iterator[None]:
-    """Context manager forcing the exact per-packet path."""
+def exact_network(exact: bool = True) -> Iterator[None]:
+    """Scope the network path: exact per-packet when ``exact``, the fast
+    path otherwise.  The previous mode is restored on exit."""
     previous = _enabled
-    set_enabled(False)
+    set_enabled(not exact)
     try:
         yield
     finally:

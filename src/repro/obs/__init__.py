@@ -28,11 +28,16 @@ telemetry flags set) installs a live one.  None of the instruments
 consume RNG or schedule events, so enabling them cannot change
 simulation results — the determinism regression test holds the repo to
 that.
+
+Pooled work records through :func:`capture`: each unit gets private
+instruments named by a picklable :class:`TelemetrySpec`, and the
+parent folds the returned snapshot in with :meth:`Telemetry.merge`.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.obs.causes import AttributionRecord, CAUSES, CauseCollector
@@ -51,8 +56,8 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
     "EventLoopProfiler", "callback_site", "Span", "Tracer",
     "AttributionRecord", "CAUSES", "CauseCollector", "HealthMonitor",
-    "Telemetry", "active", "activate", "deactivate", "ensure_active",
-    "session",
+    "Telemetry", "TelemetrySpec", "active", "activate", "capture",
+    "deactivate", "ensure_active", "session",
 ]
 
 
@@ -108,6 +113,35 @@ class Telemetry:
         if self.enabled and self.profiling_on:
             return self.profiler
         return None
+
+    def merge(self, snapshot: dict) -> None:
+        """Fold a :func:`capture` snapshot into these instruments."""
+        if "metrics" in snapshot:
+            self.metrics.merge_from(snapshot["metrics"])
+        if "causes" in snapshot:
+            self.causes.merge_from(snapshot["causes"])
+        if "health" in snapshot:
+            self.health.merge_from(snapshot["health"])
+
+
+@dataclass(frozen=True)
+class TelemetrySpec:
+    """The instruments a unit of pooled work records: the picklable part
+    of a :class:`Telemetry` that crosses the process boundary.  Tracing
+    and profiling never do — their spans and wall times would depend on
+    how the work was split."""
+
+    metrics: bool = False
+    causes: bool = False
+    health: bool = False
+
+    @classmethod
+    def of(cls, telemetry: Telemetry) -> "TelemetrySpec":
+        """The spec that mirrors ``telemetry``'s enabled instruments."""
+        if not telemetry.enabled:
+            return cls()
+        return cls(telemetry.metrics_on, telemetry.causes_on,
+                   telemetry.health_on)
 
 
 class _DisabledTelemetry(Telemetry):
@@ -182,3 +216,35 @@ def session(
         yield telemetry
     finally:
         activate(previous) if previous.enabled else deactivate()
+
+
+@contextlib.contextmanager
+def capture(spec: TelemetrySpec) -> Iterator[dict]:
+    """Record one unit of work into private instruments.
+
+    Installs fresh instruments for the surfaces ``spec`` names — or the
+    disabled default when it names none, so nothing the unit does lands
+    in the caller's telemetry — and restores the caller's on exit.  The
+    yielded dict is filled on a clean exit with one snapshot per named
+    surface (``"metrics"``, ``"causes"``, ``"health"``, in that order),
+    ready for :meth:`Telemetry.merge`.
+    """
+    global _active
+    previous = _active
+    telemetry = _DISABLED
+    if spec.metrics or spec.causes or spec.health:
+        telemetry = Telemetry(metrics=spec.metrics, tracing=False,
+                              profiling=False, causes=spec.causes,
+                              health=spec.health)
+    _active = telemetry
+    snapshot: dict = {}
+    try:
+        yield snapshot
+    finally:
+        _active = previous
+    if spec.metrics:
+        snapshot["metrics"] = telemetry.metrics.snapshot()
+    if spec.causes:
+        snapshot["causes"] = telemetry.causes.snapshot()
+    if spec.health:
+        snapshot["health"] = telemetry.health.snapshot()

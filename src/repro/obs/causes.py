@@ -275,7 +275,8 @@ class CauseCollector:
         """Fold a worker snapshot in.  Contexts are per-session, so a
         context normally appears in exactly one snapshot and the union
         reproduces the serial ledger bit-for-bit; records concatenate in
-        chunk order, which `run_sessions` keeps equal to serial order."""
+        merge order, and pooled paths merge one snapshot per session in
+        session order — the serial order."""
         for context, bucket in snapshot.get("ledger", {}).items():
             mine = self._ledger.setdefault(context, {})
             for cause, seconds in bucket.items():

@@ -322,105 +322,6 @@ class RtmpDelivery:
         self.push.push_frame(frame)
 
 
-class RtmpFanout:
-    """Encode-once delivery of one broadcast to many RTMP viewers.
-
-    A popular broadcast is encoded exactly once: every attached viewer
-    shares the same :class:`LiveSourceDriver` (and hence one encoder and
-    audio model), while join state, interruption handling, and
-    backpressure live per client on the :class:`RtmpFanoutClient` the
-    ingest server hands out.  This is the server-side shape the paper's
-    "RTMP scales by ingest-server fan-out" observation implies — the
-    per-viewer cost is a socket and a cursor, not an encode.
-
-    ``backpressure_bytes`` bounds how far a slow viewer's send backlog
-    may grow before the server starts shedding: a client over the limit
-    drops frames up to the next keyframe (a partial GOP is undecodable
-    anyway), which is how real ingest edges keep one congested viewer
-    from buffering unbounded frames server-side.
-    """
-
-    def __init__(
-        self,
-        driver: LiveSourceDriver,
-        backpressure_bytes: int = 256 * 1024,
-    ) -> None:
-        if backpressure_bytes <= 0:
-            raise ValueError("backpressure budget must be positive")
-        self.driver = driver
-        self.backpressure_bytes = backpressure_bytes
-        self.clients: List["RtmpFanoutClient"] = []
-        driver.add_sink(self._on_ingest)
-
-    def attach(self, push: RtmpPushSession) -> "RtmpFanoutClient":
-        """Register one viewer's push session; returns its client handle."""
-        client = RtmpFanoutClient(push, self)
-        self.clients.append(client)
-        return client
-
-    def detach(self, client: "RtmpFanoutClient") -> None:
-        """Remove a viewer (idempotent); its push session is left alone."""
-        if client in self.clients:
-            self.clients.remove(client)
-
-    def _on_ingest(self, frame: MediaFrame, arrival: float) -> None:
-        for client in self.clients:
-            client._on_frame(frame)
-
-
-class RtmpFanoutClient:
-    """Per-viewer delivery state inside an :class:`RtmpFanout`.
-
-    Mirrors :class:`RtmpDelivery`'s join semantics (keyframe rewind on
-    start) and adds the shed counterpart of its flow: when the viewer's
-    connection backlog exceeds the fan-out's budget, video is dropped
-    until the next keyframe finds the backlog drained.
-    """
-
-    def __init__(self, push: RtmpPushSession, fanout: RtmpFanout) -> None:
-        self.push = push
-        self.fanout = fanout
-        self.started = False
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self._awaiting_key = False
-
-    def start(self) -> None:
-        """Begin delivery: push the keyframe rewind, then follow live."""
-        self.started = True
-        for frame in RtmpDelivery._keyframe_rewind(self.fanout.driver.history):
-            self.push.push_frame(frame)
-            self.frames_delivered += 1
-
-    @property
-    def lagging(self) -> bool:
-        """Whether this viewer currently exceeds the backpressure budget."""
-        return (self.push.connection.backlog_bytes
-                > self.fanout.backpressure_bytes)
-
-    def _on_frame(self, frame: MediaFrame) -> None:
-        if not self.started:
-            return
-        if isinstance(frame, EncodedFrame):
-            if self._awaiting_key:
-                if frame.frame_type == "I" and not self.lagging:
-                    self._awaiting_key = False
-                else:
-                    self.frames_dropped += 1
-                    return
-            elif self.lagging:
-                self._awaiting_key = True
-                self.frames_dropped += 1
-                return
-        elif self._awaiting_key:
-            # Audio rides the video shed window: resuming it mid-GOP
-            # would only desync the player.
-            self.frames_dropped += 1
-            return
-        self.push.push_frame(frame)
-        self.frames_delivered += 1
-
-
 class HlsOrigin:
     """Packager + CDN origin for one broadcast.
 

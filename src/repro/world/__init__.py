@@ -15,8 +15,9 @@ not how honestly:
 * :mod:`repro.world.sampler` — stratified sampling that promotes
   selected cohort members to *full-fidelity* sessions, anchoring the
   cohort approximations to the exact simulator;
-* :mod:`repro.world.shards` — world state sharded over a process pool
-  with an index-ordered merge.
+* :mod:`repro.world.shards` — world state split into broadcaster-index
+  shards, each advanced as a pure function and folded in index order
+  (:class:`repro.core.popstudy.PopulationStudy` fans them out).
 
 Determinism: every random draw is keyed by the broadcaster index through
 :func:`repro.util.rng.child_rng` — never by shard or worker — so any
@@ -43,7 +44,7 @@ from repro.world.sampler import (
     joinable_min_duration_s,
     plan_expansions,
 )
-from repro.world.shards import ShardResult, WorldContext, WorldResult, run_world
+from repro.world.shards import ShardResult, WorldContext, WorldResult
 
 __all__ = [
     "BANDWIDTH_CLASSES",
@@ -62,6 +63,5 @@ __all__ = [
     "cohort_aggregate",
     "joinable_min_duration_s",
     "plan_expansions",
-    "run_world",
     "sample_population",
 ]

@@ -1,37 +1,28 @@
-"""Sharded execution of population-scale worlds.
+"""Shards of a population-scale world.
 
 The broadcaster population is split into contiguous index ranges
-(*shards*) and advanced over a :class:`ProcessPoolExecutor`, mirroring
-:mod:`repro.core.parallel`: a module-level initializer bootstraps each
-worker, shards are submitted in index order, and results merge back in
-submission order.  Two properties make the split invisible:
+(*shards*); :func:`compute_shard` advances one of them as a pure
+function of its inputs.  This module only defines the unit — the fan-out
+over :func:`repro.core.parallel.run_tasks`, and the full-fidelity runs
+of each shard's promoted members, live in
+:class:`repro.core.popstudy.PopulationStudy`, one layer up.  Two
+properties make the split invisible:
 
 * every random draw inside a shard is keyed by **broadcaster index**
   (see :mod:`repro.world.popularity` / :mod:`repro.world.sampler`), so
   the shard boundaries never touch an RNG stream — 1 shard and N shards
-  produce byte-identical cohorts, samples, and session results;
-* telemetry recorded by full-fidelity expansions lands in per-session
-  private registries whose snapshots ship back with the shard result
-  (a finer grain than :mod:`repro.core.parallel`'s per-chunk
-  snapshots); the parent folds them in global session order, so the
-  merged registry is byte-identical for every shard and worker count.
-
-The full-fidelity *runner* is injected by the caller (a module-level
-callable, picklable by reference) rather than imported: the mesoscale
-layer sits below ``core`` in the layer DAG, and the dependency points
-upward only at run time, through a value.
+  produce byte-identical cohorts and samples;
+* aggregates stay per broadcaster inside a shard, and the parent folds
+  shards with :meth:`WorldResult.fold` in shard order, so the
+  cross-broadcaster float fold is the same for every shard count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro import obs
-from repro.faults.plan import FaultPlan
-from repro.netsim import fastpath
 from repro.util.rng import Seedable
 from repro.world.cohorts import CohortAggregate, build_cohorts, cohort_aggregate
 from repro.world.popularity import build_broadcast
@@ -46,16 +37,6 @@ from repro.world.sampler import (
 #: cheap enough that per-shard dispatch stays negligible.
 SHARDS_PER_WORKER = 4
 
-#: Signature of the injected full-fidelity runner:
-#: ``runner(world_seed, requests, faults, metrics_enabled,
-#: causes_enabled, health_enabled) -> (results, per-session snapshots)``
-#: where snapshots is ``None`` when every telemetry surface is off.
-ExpansionRunner = Callable[
-    [Seedable, Sequence[ExpansionRequest], Optional[FaultPlan],
-     bool, bool, bool],
-    Tuple[List[object], Optional[List[dict]]],
-]
-
 
 @dataclass(frozen=True)
 class WorldContext:
@@ -66,14 +47,6 @@ class WorldContext:
     hls_viewer_threshold: float
     #: Global sampling rate (budget / total viewers).
     sample_rate: float
-    faults: Optional[FaultPlan] = None
-    exact_network: bool = False
-    metrics_enabled: bool = False
-    causes_enabled: bool = False
-    health_enabled: bool = False
-    #: Module-level callable executing expansion requests at full
-    #: fidelity (``None`` plans the sample but runs nothing).
-    runner: Optional[ExpansionRunner] = None
 
 
 @dataclass
@@ -97,17 +70,12 @@ class ShardResult:
         default_factory=list
     )
     requests: List[ExpansionRequest] = field(default_factory=list)
-    session_results: List[object] = field(default_factory=list)
-    #: Per-session telemetry snapshots (surface name -> snapshot, one
-    #: dict per expanded session, in session order), or ``None`` when
-    #: every surface is off.
-    telemetry: Optional[List[dict]] = None
 
 
 @dataclass
 class WorldResult:
-    """The merged world: exact population facts + cohort aggregates +
-    anchored full-fidelity session results."""
+    """The merged world: exact population facts, cohort aggregates, and
+    the promoted members' expansion requests."""
 
     broadcasters: int = 0
     live_broadcasters: int = 0
@@ -115,8 +83,6 @@ class WorldResult:
     shard_count: int = 0
     totals: Dict[str, CohortAggregate] = field(default_factory=dict)
     requests: List[ExpansionRequest] = field(default_factory=list)
-    session_results: List[object] = field(default_factory=list)
-    telemetry_snapshots: List[dict] = field(default_factory=list)
 
     def fold(self, shard: ShardResult) -> None:
         self.broadcasters += shard.broadcasters
@@ -127,9 +93,6 @@ class WorldResult:
             into = self.totals.setdefault(protocol_value, CohortAggregate())
             into.merge(aggregate)
         self.requests.extend(shard.requests)
-        self.session_results.extend(shard.session_results)
-        if shard.telemetry is not None:
-            self.telemetry_snapshots.extend(shard.telemetry)
 
 
 def shard_bounds(n_broadcasters: int, shards: int) -> List[Tuple[int, int]]:
@@ -155,7 +118,7 @@ def compute_shard(
     audiences: Sequence[int],
 ) -> ShardResult:
     """Advance one shard: materialize broadcasters, fold cohort
-    aggregates, and run this shard's slice of the stratified sample.
+    aggregates, and plan this shard's slice of the stratified sample.
 
     Pure function of ``(context, start, audiences)`` — the shard index
     is carried for bookkeeping only and feeds no draw.
@@ -194,90 +157,4 @@ def compute_shard(
         result.broadcaster_totals.append(
             (index, protocol_value, broadcaster_total)
         )
-    if result.requests and context.runner is not None:
-        session_results, snapshots = context.runner(
-            context.seed, result.requests, context.faults,
-            context.metrics_enabled, context.causes_enabled,
-            context.health_enabled,
-        )
-        result.session_results = list(session_results)
-        result.telemetry = snapshots
     return result
-
-
-#: Worker-process context, installed once per worker by :func:`_worker_init`.
-_WORKER_CONTEXT: Optional[WorldContext] = None
-
-
-def _worker_init(context: WorldContext) -> None:
-    """Bootstrap one worker: adopt the world context and network mode.
-
-    Telemetry inherited over ``fork`` is discarded — expansion sessions
-    capture their own per-session registries through the runner.
-    """
-    global _WORKER_CONTEXT
-    obs.deactivate()
-    fastpath.set_enabled(not context.exact_network)
-    _WORKER_CONTEXT = context
-
-
-def _run_shard(
-    shard_index: int, start: int, audiences: Sequence[int]
-) -> ShardResult:
-    """Run one shard inside a worker."""
-    context = _WORKER_CONTEXT
-    if context is None:
-        raise RuntimeError("worker not initialized; dispatch via run_world")
-    return compute_shard(context, shard_index, start, audiences)
-
-
-def run_world(
-    context: WorldContext,
-    viewers_by_broadcaster: Sequence[int],
-    *,
-    workers: int = 1,
-    shards: Optional[int] = None,
-) -> WorldResult:
-    """Advance the whole world, sharded over ``workers`` processes.
-
-    ``shards`` fixes the number of work units (default
-    ``workers x SHARDS_PER_WORKER``); any value yields byte-identical
-    results because no draw is keyed by shard.  ``workers <= 1`` runs
-    every shard inline — same code path, no pool.
-    """
-    bounds = shard_bounds(
-        len(viewers_by_broadcaster),
-        shards if shards is not None else max(1, workers) * SHARDS_PER_WORKER,
-    )
-    merged = WorldResult(shard_count=0)
-    if workers <= 1:
-        previous_fast = fastpath.enabled()
-        fastpath.set_enabled(not context.exact_network)
-        try:
-            for shard_index, (start, stop) in enumerate(bounds):
-                merged.fold(
-                    compute_shard(
-                        context, shard_index, start,
-                        viewers_by_broadcaster[start:stop],
-                    )
-                )
-        finally:
-            fastpath.set_enabled(previous_fast)
-        return merged
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(context,),
-    ) as pool:
-        futures = [
-            pool.submit(
-                _run_shard, shard_index, start,
-                list(viewers_by_broadcaster[start:stop]),
-            )
-            for shard_index, (start, stop) in enumerate(bounds)
-        ]
-        # Submission-order iteration: the merge never sees completion
-        # order, so parallel worlds match inline ones byte for byte.
-        for future in futures:
-            merged.fold(future.result())
-    return merged

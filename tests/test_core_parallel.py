@@ -5,6 +5,9 @@ serial one — same sessions, same order, same bytes — because sampling is
 serial and each session is hermetic given its setup.
 """
 
+import json
+import math
+
 import pytest
 
 from repro import obs
@@ -72,6 +75,73 @@ def test_faulted_parallel_bit_identical_to_serial(serial_faulted_dataset, worker
     )
 
 
+def _faulted_batch_telemetry(workers):
+    """Merged telemetry of a 9-session faulted batch with every pooled
+    surface on: 2 and 4 workers cut it into 5 and 9 chunks."""
+    from repro.faults import FaultPlan
+
+    study = AutomatedViewingStudy(StudyConfig(
+        seed=SEED, watch_seconds=8.0, faults=FaultPlan.parse(FAULT_PLAN_SPEC),
+    ))
+    with obs.session(metrics=True, tracing=False, profiling=False,
+                     causes=True, health=True) as telemetry:
+        dataset = study.run_batch(9, bandwidth_limit_mbps=2.0, workers=workers)
+    assert len(dataset.sessions) == 9
+    return {
+        "metrics": telemetry.metrics.snapshot(),
+        "causes": telemetry.causes.snapshot(),
+        "health": telemetry.health.snapshot(),
+    }
+
+
+@pytest.fixture(scope="module")
+def batch_telemetry():
+    return {workers: _faulted_batch_telemetry(workers) for workers in (1, 2, 4)}
+
+
+def test_merged_telemetry_is_worker_count_invariant(batch_telemetry):
+    """Snapshots are taken per session, not per chunk, so the parent's
+    fold — float accumulation order included — is the same however the
+    batch was chunked.  Compared as JSON text (floats print exactly): a
+    pickle would also encode which strings happen to be shared objects."""
+    assert batch_telemetry[2]["causes"]["ledger"], "attribution was off"
+    assert (json.dumps(batch_telemetry[2], sort_keys=True)
+            == json.dumps(batch_telemetry[4], sort_keys=True))
+
+
+def _series(snapshot):
+    """(family, labels) -> (kind, child entry) over a metrics snapshot."""
+    return {
+        (family["name"], repr(child["labels"])): (family["kind"], child)
+        for family in snapshot["families"]
+        for child in family["children"]
+    }
+
+
+def test_pooled_metrics_equal_the_serial_batch(batch_telemetry):
+    """The serial loop records straight into the parent registry; the
+    pooled fold adds the same events per session.  Counts agree exactly;
+    float seconds totals differ only by summation order."""
+    serial = _series(batch_telemetry[1]["metrics"])
+    pooled = _series(batch_telemetry[2]["metrics"])
+    assert pooled.keys() == serial.keys()
+    checked = 0
+    for key, (kind, child) in serial.items():
+        other = pooled[key][1]
+        if kind == "histogram":
+            assert other["count"] == child["count"], key
+            assert other["bucket_counts"] == child["bucket_counts"], key
+        elif kind == "counter" and key[0].endswith("_seconds_total"):
+            assert math.isclose(other["value"], child["value"],
+                                rel_tol=1e-9), key
+        elif kind == "counter":
+            assert other["value"] == child["value"], key
+        else:
+            continue
+        checked += 1
+    assert checked > 0
+
+
 def test_parallel_metrics_fold_into_parent():
     study = AutomatedViewingStudy(StudyConfig(seed=SEED))
     with obs.session(metrics=True, tracing=False, profiling=False) as telemetry:
@@ -102,7 +172,8 @@ def test_worker_crash_propagates_to_parent():
         seed=1,
     )
     with pytest.raises((AttributeError, TypeError)):
-        run_sessions([poisoned], study_seed=SEED, workers=2)
+        run_sessions(StudyConfig(seed=SEED), obs.TelemetrySpec(), [poisoned],
+                     workers=2)
 
 
 def _poisoned_setup():
@@ -128,7 +199,8 @@ def test_worker_exception_carries_the_failing_cell_index():
     poison_at = 3  # with 9 setups and 2 workers, chunks are 2 wide:
     setups[poison_at] = _poisoned_setup()  # offset 1 inside chunk [2, 4)
     with pytest.raises((AttributeError, TypeError)) as excinfo:
-        run_sessions(setups, study_seed=SEED, workers=2)
+        run_sessions(StudyConfig(seed=SEED), obs.TelemetrySpec(), setups,
+                     workers=2)
     assert getattr(excinfo.value, "cell_index", None) == poison_at
     # concurrent.futures chains the worker-side traceback as the cause.
     assert excinfo.value.__cause__ is not None
@@ -166,14 +238,44 @@ def test_run_tasks_exception_carries_the_task_index():
     assert excinfo.value.__cause__ is not None
 
 
-def test_run_tasks_rejects_single_worker():
-    with pytest.raises(ValueError):
-        run_tasks(_triple, [1], workers=1)
+def _observe_run_tasks(workers):
+    observed = []
+    results = run_tasks(
+        _triple, [5, 1, 4, 2], workers=workers,
+        on_result=lambda index, result: observed.append((index, result)),
+    )
+    with pytest.raises(ValueError) as excinfo:
+        run_tasks(_fail_on_negative, [1, 2, -7, 4], workers=workers)
+    return results, observed, excinfo.value.task_index
 
 
-def test_run_sessions_rejects_single_worker():
-    with pytest.raises(ValueError):
-        run_sessions([], study_seed=SEED, workers=1)
+def test_run_tasks_runs_inline_below_two_workers():
+    """One worker runs the items inline through the same shim: same
+    results, same on_result order, same task_index on failure."""
+    assert _observe_run_tasks(1) == _observe_run_tasks(2)
+    # A single item never starts a pool either, so even a callable that
+    # cannot be pickled runs.
+    assert run_tasks(lambda value: value + 1, [1], workers=4) == [2]
+
+
+def test_run_sessions_runs_inline_below_two_workers():
+    """run_sessions inherits the inline path: one worker returns the same
+    results and per-session snapshots as a pool of two."""
+    config = StudyConfig(seed=SEED, watch_seconds=4.0)
+    study = AutomatedViewingStudy(config)
+    setups = []
+    while len(setups) < 3:
+        setup = study._next_setup(100.0)
+        if setup is not None:
+            setups.append(setup)
+    spec = obs.TelemetrySpec(metrics=True)
+    inline = run_sessions(config, spec, setups, workers=1)
+    pooled = run_sessions(config, spec, setups, workers=2)
+    assert inline[0] == pooled[0]
+    assert (json.dumps(inline[1], sort_keys=True)
+            == json.dumps(pooled[1], sort_keys=True))
+    assert len(inline[1]) == len(setups)
+    assert run_sessions(config, spec, [], workers=1) == ([], [])
 
 
 def test_chunk_bounds_cover_each_index_exactly_once():

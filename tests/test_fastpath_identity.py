@@ -18,6 +18,10 @@ from repro.core.session import SessionSetup, ViewingSession
 from repro.core.study import AutomatedViewingStudy
 from repro.faults import FaultPlan
 from repro.netsim import fastpath
+from repro.netsim.connection import Connection, Message
+from repro.netsim.events import EventLoop
+from repro.netsim.topology import Network
+from repro.netsim.trace import TraceCapture
 from repro.service.broadcast import sample_broadcast
 from repro.service.geo import POPULATION_CENTERS, GeoPoint
 from repro.service.selection import DeliveryProtocol
@@ -71,6 +75,64 @@ class TestSessionIdentitySweep:
         # line-for-line (timestamps, order, sizes, annotations).
         assert (_canonical_trace(fast.capture)
                 == _canonical_trace(exact.capture))
+
+
+def _tied_flows(exact: bool):
+    """Two flows from ``a1``/``a2`` whose packets reach the shared
+    ``b -> c`` link at identical float timestamps (twin access links),
+    with ``c`` answering every message from inside ``on_message`` so
+    callbacks book packets amid the ties.  Returns the capture of the
+    shared duplex link and the delivery log."""
+    with fastpath.exact_network(exact):
+        loop = EventLoop()
+        net = Network(loop)
+        for name in ("a1", "a2"):
+            net.duplex(net.host(name), net.host("b"), rate_bps=8e6, delay_s=0.004)
+        shared = net.duplex(net.host("b"), net.host("c"), rate_bps=20e6,
+                            delay_s=0.01)
+        capture = TraceCapture(capture_payload=False)
+        capture.tap_link(shared.a_to_b, "down")
+        capture.tap_link(shared.b_to_a, "up")
+        delivered = []
+        replies = [Connection(loop, *net.duplex_paths("c", "b", name))
+                   for name in ("a1", "a2")]
+        for reply in replies:
+            reply.on_message = lambda message, t: delivered.append(("reply", t))
+
+        def answer(index):
+            def on_message(message, t):
+                delivered.append((index, t))
+                replies[index].send(Message(payload=None, nbytes=3_000))
+            return on_message
+
+        flows = [Connection(loop, *net.duplex_paths(name, "b", "c"),
+                            on_message=answer(index))
+                 for index, name in enumerate(("a1", "a2"))]
+
+        def send_all():
+            for flow in flows:
+                for _ in range(3):
+                    flow.send(Message(payload=None, nbytes=20_000))
+
+        loop.schedule(0.0, send_all)
+        loop.run()
+    index_of = {conn.flow_id: index for index, conn in enumerate(flows + replies)}
+    trace = [(r.timestamp, index_of[r.flow_id], r.seq, r.is_ack, r.direction)
+             for r in capture.records]
+    return trace, delivered
+
+
+def test_equal_timestamps_keep_capture_order():
+    """Capture records keep their order even between packets of
+    different flows with exactly equal timestamps: each micro-event
+    carries the ``(time, seq)`` tie-break the heap would have used."""
+    exact, exact_delivered = _tied_flows(exact=True)
+    fast, fast_delivered = _tied_flows(exact=False)
+    ties = sum(1 for a, b in zip(exact, exact[1:])
+               if a[0] == b[0] and a[1] != b[1])
+    assert ties > 10, "scenario produced no cross-flow timestamp ties"
+    assert fast == exact
+    assert fast_delivered == exact_delivered
 
 
 def _dataset_bytes(dataset) -> tuple:
