@@ -61,7 +61,6 @@ PROGRESS_NAME = "progress.prom"
 MEMOIZED = "memoized"
 PENDING = "pending"
 CORRUPT = "corrupt"
-DONE = "done"
 
 
 @dataclass

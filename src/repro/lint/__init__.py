@@ -26,28 +26,20 @@ The flow-sensitive families run on a per-function CFG
 * **R-rules** — RNG-taint: streams derive from
   ``repro.util.rng.child_rng`` and draws never depend on telemetry
   state (:mod:`repro.lint.rules_rng`).
-* **P-rules** — process-pool safety for work dispatched through
-  ``repro.core.parallel`` (:mod:`repro.lint.rules_pool`).
 
-Suppress a finding in place with ``# lint: disable=D102`` on the
-flagged line, or file-wide with ``# lint: disable-file=U504`` (stale
-file pragmas are reported like stale baseline entries); tolerate
-pre-existing debt in ``lint-baseline.json`` (refresh via ``python -m
-repro.lint --write-baseline``).  ``--format sarif`` emits SARIF 2.1.0
-for GitHub code scanning (:mod:`repro.lint.sarif`).
+Each family is one pass per file, driven by
+:func:`repro.lint.dataflow.flow_findings`.
+
+The only way past a finding is a ``# lint: disable=D102`` pragma on the
+flagged line (:mod:`repro.lint.pragmas`).  ``--format sarif`` emits
+SARIF 2.1.0 for GitHub code scanning (:mod:`repro.lint.sarif`).
 """
 
-from repro.lint.baseline import (
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.discovery import discover_files, find_repo_root
 from repro.lint.findings import Finding
 from repro.lint.registry import (
     FileRule,
+    FlowRule,
     ProjectRule,
     Rule,
     all_rules,
@@ -61,22 +53,18 @@ from repro.lint.sarif import build_sarif, format_sarif
 __all__ = [
     "build_sarif",
     "format_sarif",
-    "BaselineEntry",
-    "BaselineError",
     "FileRule",
     "Finding",
+    "FlowRule",
     "LintResult",
     "ProjectRule",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "discover_files",
     "find_repo_root",
     "iter_rule_metadata",
     "lint_sources",
-    "load_baseline",
     "register",
     "rule_ids",
     "run_lint",
-    "write_baseline",
 ]

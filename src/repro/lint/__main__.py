@@ -8,10 +8,10 @@ Usage::
     python -m repro.lint --format sarif --output lint.sarif
                                                # GitHub code scanning
     python -m repro.lint --list-rules          # rule catalogue
-    python -m repro.lint --write-baseline      # accept current findings
 
-Exit codes: 0 — clean (only baselined/suppressed findings);
-1 — at least one new finding; 2 — usage or internal error.
+The only way past a finding is a ``# lint: disable=<ID>`` pragma on the
+flagged line.  Exit codes: 0 — clean (pragma-suppressed findings
+only); 1 — at least one finding; 2 — usage error.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    write_baseline,
-)
 from repro.lint.discovery import find_repo_root
 from repro.lint.registry import iter_rule_metadata
 from repro.lint.report import format_json, format_text
@@ -58,23 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to PATH instead of stdout",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file (default: <root>/lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to cover all current findings "
-             "(drops stale entries) and exit 0",
-    )
-    parser.add_argument(
-        "--show-baselined", action="store_true",
-        help="also print findings covered by the baseline (text format)",
-    )
-    parser.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
     )
@@ -90,7 +68,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list_rules:
         for meta in iter_rule_metadata():
-            print(f"{meta['id']}  {meta['name']}  [{meta['severity']}]")
+            print(f"{meta['id']}  {meta['name']}")
             print(f"      {meta['description']}")
         return 0
 
@@ -99,31 +77,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         [rule_id.strip() for rule_id in args.rules.split(",") if rule_id.strip()]
         if args.rules else None
     )
-    baseline_path = args.baseline or os.path.join(root, DEFAULT_BASELINE_NAME)
-
-    try:
-        result = run_lint(
-            root=root,
-            paths=args.paths or None,
-            baseline_path=baseline_path,
-            use_baseline=not args.no_baseline and not args.write_baseline,
-            only_rules=only_rules,
-        )
-    except BaselineError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        count = write_baseline(baseline_path, result.findings)
-        print(f"baseline: {count} finding(s) -> {baseline_path}")
-        return 0
+    result = run_lint(root=root, paths=args.paths or None, only_rules=only_rules)
 
     if args.output_format == "json":
         rendered = format_json(result)
     elif args.output_format == "sarif":
         rendered = format_sarif(result)
     else:
-        rendered = format_text(result, show_baselined=args.show_baselined) + "\n"
+        rendered = format_text(result) + "\n"
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -1,11 +1,11 @@
 """Per-function control-flow graphs built from the AST.
 
-The flow-sensitive rule families (U units, R RNG-taint, P pool safety)
-need to reason about *which values reach which uses*, not just which
-syntax appears — ``d = t1 - t0; total = d + wire_bytes`` is a unit bug
-even though no single line mixes suffixes.  This module turns every
-function body into a small CFG of basic blocks that the worklist solver
-in :mod:`repro.lint.dataflow` iterates to a fixpoint.
+The flow-sensitive rule families (U units, R RNG-taint) need to reason
+about *which values reach which uses*, not just which syntax appears —
+``d = t1 - t0; total = d + wire_bytes`` is a unit bug even though no
+single line mixes suffixes.  This module turns every function body
+into a small CFG of basic blocks that the worklist solver in
+:mod:`repro.lint.dataflow` iterates to a fixpoint.
 
 Design constraints, in order:
 

@@ -1,17 +1,24 @@
 """Forward abstract interpretation over the per-function CFGs.
 
-One generic worklist solver serves all three flow-sensitive rule
-families; a family subclasses :class:`ForwardAnalysis` and provides
+One generic worklist solver serves both flow-sensitive rule families
+(U units, R RNG taint); a family subclasses :class:`ForwardAnalysis`
+and provides
 
 * ``join_values(a, b)`` — the value lattice's join (both args non-None);
 * ``transfer(stmt, env)`` — mutate ``env`` for one statement;
 * optionally ``initial_env(cfg)`` — parameter seeding.
 
+A family is then one function, ``family(module, report)``, that runs
+:meth:`ForwardAnalysis.report_pass` over each of the module's CFGs and
+calls ``report(node, rule_id, message)`` per violation.
+:func:`flow_findings` runs every family: once per module, memoized,
+keeping one finding per (rule, line, col).
+
 Environments are plain ``{variable_name: abstract_value}`` dicts.  A
 variable absent from the env is *unbound/unknown*; joining a bound
 value with unbound keeps the value (may-analysis), which is the right
-polarity for every current client: "this var may hold seconds", "this
-var may be RNG-derived", "this var may be a lambda".
+polarity for both families: "this var may hold seconds", "this var may
+be RNG-derived".
 
 Statements are evaluated **shallowly**: compound statements appear in
 blocks only as their header (a ``for`` contributes its target binding,
@@ -27,11 +34,21 @@ then returns the partial result rather than hanging a lint run.
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.lint.cfg import FUNCTION_NODES, FunctionCFG, is_test_expr
+from repro.lint.modinfo import ModuleInfo
 
 Env = Dict[str, Any]
+
+#: ``report(node, rule_id, message)``: one violation at ``node``.
+Report = Callable[[ast.AST, str, str], None]
+
+#: A flow family: one pass over a module, reporting its violations.
+Family = Callable[[ModuleInfo, Report], None]
+
+#: (rule_id, line, col, message) as a family reports it.
+RawFinding = Tuple[str, int, int, str]
 
 #: Hard backstop on block visits per CFG (see module docstring).
 MAX_BLOCK_VISITS = 4000
@@ -108,6 +125,28 @@ class ForwardAnalysis:
                 self.transfer(stmt, env)
 
 
+def flow_findings(module: ModuleInfo, family: Family) -> List[RawFinding]:
+    """Run ``family`` over ``module`` once per lint run.
+
+    The result is memoized on ``module.analysis_cache``, so every rule
+    of a family shares one fixpoint per CFG.  A rule reported more than
+    once at one location is kept once, with its first message.
+    """
+    cached = module.analysis_cache.get(family)
+    if cached is not None:
+        return cached
+    found: Dict[Tuple[str, int, int], str] = {}
+
+    def report(node: ast.AST, rule: str, message: str) -> None:
+        key = (rule, getattr(node, "lineno", 1), getattr(node, "col_offset", 0))
+        found.setdefault(key, message)
+
+    family(module, report)
+    raw = [key + (message,) for key, message in found.items()]
+    module.analysis_cache[family] = raw
+    return raw
+
+
 # -- shared transfer helpers ---------------------------------------------------
 
 
@@ -155,24 +194,6 @@ def iter_shallow_exprs(stmt: ast.stmt):
     for child in ast.iter_child_nodes(stmt):
         if isinstance(child, ast.expr):
             yield child
-
-
-class EnvEvaluator:
-    """Shared shape for expression evaluators used by transfer functions.
-
-    Subclasses implement :meth:`evaluate`; this base handles the one
-    evaluation side effect every family needs: a walrus (``x := v``)
-    binds ``x`` in the env to the evaluated value of ``v``.
-    """
-
-    def evaluate(self, node: ast.expr, env: Env) -> Any:
-        raise NotImplementedError
-
-    def eval_walrus(self, node: ast.NamedExpr, env: Env) -> Any:
-        value = self.evaluate(node.value, env)
-        if isinstance(node.target, ast.Name):
-            env[node.target.id] = value
-        return value
 
 
 def transfer_assignments(

@@ -51,12 +51,6 @@ BYTES_PER_S = "bytes_per_second"
 RATIO = "ratio"
 SCALAR = "scalar"
 
-#: All modelled dimensions (for docs and tests).
-ALL_DIMENSIONS = (
-    SECONDS, TIMESTAMP, BYTES, BITS, BPS, SCALED_RATE, BYTES_PER_S,
-    RATIO, SCALAR,
-)
-
 #: Explicit name -> dimension overrides, consulted before the suffix
 #: rules.  Keyed on the bare identifier (the leaf for attributes), so
 #: ``units.MBPS`` and a from-imported ``MBPS`` resolve identically.

@@ -1,20 +1,9 @@
-"""The unit of linter output: one :class:`Finding` per rule violation.
-
-Findings carry a *fingerprint* — a stable identity computed from the
-rule, the file, and the offending source text (not the line number) — so
-baselined findings keep matching while unrelated edits move code around.
-"""
+"""The unit of linter output: one :class:`Finding` per rule violation."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-#: Severities, in increasing order of concern.  The CI gate fails on any
-#: non-baselined finding regardless of severity; the level only affects
-#: how the finding is presented.
-SEVERITIES = ("warning", "error")
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -26,26 +15,6 @@ class Finding:
     line: int          # 1-based
     col: int           # 0-based (ast convention)
     message: str
-    severity: str = "error"
-    #: Source text of the flagged line, stripped; input to the fingerprint.
-    line_text: str = ""
-    #: Disambiguates identical (rule, path, line_text) triples.
-    occurrence: int = 0
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def normalized_text(self) -> str:
-        """Flagged line with runs of whitespace collapsed — fingerprint
-        material, so re-indenting or re-spacing a line (not just moving
-        it) leaves baseline entries matching."""
-        return " ".join(self.line_text.split())
-
-    @property
-    def fingerprint(self) -> str:
-        material = "\x1f".join(
-            (self.rule, self.path, self.normalized_text, str(self.occurrence))
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
@@ -53,27 +22,8 @@ class Finding:
     def to_json(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
-            "baselined": self.baselined,
         }
-
-
-def assign_occurrences(findings: Sequence[Finding]) -> List[Finding]:
-    """Number findings that share (rule, path, line_text) by line order.
-
-    Fingerprints must stay stable when unrelated lines are added above a
-    finding, yet two identical violations in one file must not collide —
-    the occurrence index (0, 1, ...) provides exactly that.
-    """
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
-    counters: Dict[tuple, int] = {}
-    for finding in ordered:
-        key = (finding.rule, finding.path, finding.normalized_text)
-        finding.occurrence = counters.get(key, 0)
-        counters[key] = finding.occurrence + 1
-    return ordered

@@ -1,8 +1,7 @@
 """Parsed per-module facts shared by every rule.
 
 One :class:`ModuleInfo` per linted file: the AST, the raw source lines,
-the pragma table, and the module's *internal* imports classified by how
-they execute:
+and the module's *internal* imports classified by how they execute:
 
 * ``toplevel`` — runs at import time (module body, class bodies, and
   module-level ``if``/``try`` blocks).  These are the edges the
@@ -44,9 +43,10 @@ class ModuleInfo:
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
     imports: List[ImportEdge] = field(default_factory=list)
-    #: Memoized per-family analysis results (units/rng/pool), so each
-    #: family runs its dataflow fixpoint once per file per lint run.
-    analysis_cache: Dict[str, object] = field(default_factory=dict)
+    #: Flow-family results keyed by family, memoized by
+    #: :func:`repro.lint.dataflow.flow_findings` so each family runs its
+    #: dataflow fixpoint once per file per lint run.
+    analysis_cache: Dict[object, object] = field(default_factory=dict)
     _cfgs: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -61,11 +61,6 @@ class ModuleInfo:
     @property
     def in_repro(self) -> bool:
         return self.module.split(".")[0] == ROOT_PACKAGE
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def function_cfgs(self) -> List["FunctionCFG"]:
         """CFGs for every function plus the module body, built lazily and
@@ -104,15 +99,17 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     return False
 
 
-def _resolve_from(node: ast.ImportFrom, current_module: str) -> Optional[str]:
+def _resolve_from(
+    node: ast.ImportFrom, current_module: str, is_package: bool
+) -> Optional[str]:
     """Absolute dotted module a ``from ... import`` statement targets."""
     if node.level == 0:
         return node.module
-    # Relative import: anchor on the importing module's package.
+    # Relative import: level=1 means "current package" — the module
+    # itself for a package ``__init__``, else its parent — and each
+    # further level climbs one more component.
     base = current_module.split(".")
-    # level=1 means "current package": drop the module leaf, then one
-    # extra component per additional level.
-    drop = 1 + (node.level - 1)
+    drop = node.level - 1 if is_package else node.level
     if drop >= len(base):
         return node.module
     anchor = base[: len(base) - drop]
@@ -122,7 +119,7 @@ def _resolve_from(node: ast.ImportFrom, current_module: str) -> Optional[str]:
 
 
 def _iter_imports(
-    tree: ast.Module, current_module: str
+    tree: ast.Module, current_module: str, is_package: bool
 ) -> Iterator[Tuple[str, int, str, ast.AST]]:
     """Yield (target, line, kind, node) for every repro-internal import."""
 
@@ -132,7 +129,7 @@ def _iter_imports(
                 for alias in node.names:
                     yield alias.name, node.lineno, kind, node
             elif isinstance(node, ast.ImportFrom):
-                target = _resolve_from(node, current_module)
+                target = _resolve_from(node, current_module, is_package)
                 if target is None:
                     continue
                 # ``from repro.pkg import name`` may name either an
@@ -183,7 +180,8 @@ def parse_module(rel_path: str, source: str) -> ModuleInfo:
         tree=tree,
         lines=source.splitlines(),
     )
-    for target, line, kind, _node in _iter_imports(tree, module):
+    is_package = info.path.rsplit("/", 1)[-1] == "__init__.py"
+    for target, line, kind, _node in _iter_imports(tree, module, is_package):
         if target.split(".")[0] == ROOT_PACKAGE:
             info.imports.append(ImportEdge(target=target, line=line, kind=kind))
     return info

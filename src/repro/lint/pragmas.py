@@ -1,4 +1,4 @@
-"""Suppression pragmas: per-line and per-file.
+"""Suppression pragmas: the one way past a finding.
 
 A finding is suppressed when the flagged physical line carries::
 
@@ -6,50 +6,21 @@ A finding is suppressed when the flagged physical line carries::
     other()      # lint: disable=D102,L301
     anything()   # lint: disable=all
 
-or when the file carries a file-level pragma: an unindented comment
-line (column 0, conventionally right after the module docstring) of
-the form ``# lint: disable-file=U504`` or
-``# lint: disable-file=R601,R603``.
-
-The per-line form applies to that line only, which keeps every
-suppression visible next to the code it excuses.  The file-level form
-exists for files that are *about* the hazard a rule polices (fixtures,
-torture tests) where a pragma per line would drown the code.  Each
-``disable-file`` rule id is tracked like a baseline entry: if it
-suppresses nothing, the run reports the pragma as **stale** so dead
-suppressions can't accumulate silently.
+The pragma applies to that line only, which keeps every suppression
+visible next to the code it excuses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence
 
 _PRAGMA_RE = re.compile(
     r"#\s*lint:\s*disable=(?P<rules>all|[A-Z][0-9]{3}(?:\s*,\s*[A-Z][0-9]{3})*)"
 )
 
-#: Anchored at column 0: a file-wide suppression must be a standalone
-#: top-level comment, which also keeps indented doc examples inert.
-_FILE_PRAGMA_RE = re.compile(
-    r"^#\s*lint:\s*disable-file="
-    r"(?P<rules>all|[A-Z][0-9]{3}(?:\s*,\s*[A-Z][0-9]{3})*)"
-)
-
 #: Sentinel meaning "every rule" on the pragma line.
 ALL = frozenset(("all",))
-
-
-@dataclass(frozen=True)
-class FilePragma:
-    """One rule id disabled file-wide by a ``disable-file`` pragma."""
-
-    line: int      # 1-based line carrying the pragma
-    rule: str      # a rule id, or "all"
-
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "rule": self.rule}
 
 
 def parse_pragmas(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
@@ -71,42 +42,9 @@ def parse_pragmas(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
     return pragmas
 
 
-def parse_file_pragmas(lines: Sequence[str]) -> List[FilePragma]:
-    """Every ``# lint: disable-file=`` entry in the file, one per rule id
-    (so staleness is tracked per id, not per pragma line)."""
-    entries: List[FilePragma] = []
-    for number, line in enumerate(lines, start=1):
-        if "lint:" not in line:
-            continue
-        match = _FILE_PRAGMA_RE.match(line)
-        if match is None:
-            continue
-        spec = match.group("rules")
-        if spec == "all":
-            entries.append(FilePragma(line=number, rule="all"))
-        else:
-            for part in spec.split(","):
-                part = part.strip()
-                if part:
-                    entries.append(FilePragma(line=number, rule=part))
-    return entries
-
-
 def suppressed(pragmas: Dict[int, FrozenSet[str]], line: int, rule: str) -> bool:
     """True when ``rule`` is disabled on ``line``."""
     disabled = pragmas.get(line)
     if disabled is None:
         return False
     return disabled is ALL or "all" in disabled or rule in disabled
-
-
-def file_suppressed(
-    file_pragmas: Sequence[FilePragma], rule: str
-) -> Tuple[bool, Tuple[FilePragma, ...]]:
-    """Whether ``rule`` is disabled file-wide, plus the matching entries
-    (all of them — duplicates must each count as used, not go stale)."""
-    matches = tuple(
-        entry for entry in file_pragmas
-        if entry.rule == "all" or entry.rule == rule
-    )
-    return bool(matches), matches

@@ -1,17 +1,20 @@
 """The rule plugin registry.
 
-Rules come in two shapes:
+Rules come in three shapes:
 
 * :class:`FileRule` — sees one :class:`~repro.lint.modinfo.ModuleInfo`
   at a time (most AST checks).
+* :class:`FlowRule` — a file rule whose findings come from one
+  flow-sensitive family's shared pass over the module's CFGs
+  (:func:`repro.lint.dataflow.flow_findings`).
 * :class:`ProjectRule` — sees every module at once (import graph,
   cycles, layering).
 
 A rule registers itself with :func:`register`; the runner instantiates
 each registered class once per invocation.  Rule ids are ``<family
 letter><3 digits>`` — D determinism, O observability purity,
-L layering, F float discipline, U units/dimensions, R RNG taint,
-P process-pool safety — and must be unique.
+L layering, F float discipline, U units/dimensions, R RNG taint — and
+must be unique.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, Iterator, List, Type
 
+from repro.lint.dataflow import Family, flow_findings
 from repro.lint.findings import Finding
 from repro.lint.modinfo import ModuleInfo
 
@@ -31,17 +35,10 @@ class Rule:
     id: str = ""
     name: str = ""
     description: str = ""
-    severity: str = "error"
 
     def finding(self, module: ModuleInfo, line: int, col: int, message: str) -> Finding:
         return Finding(
-            rule=self.id,
-            path=module.path,
-            line=line,
-            col=col,
-            message=message,
-            severity=self.severity,
-            line_text=module.line_text(line),
+            rule=self.id, path=module.path, line=line, col=col, message=message,
         )
 
 
@@ -50,6 +47,24 @@ class FileRule(Rule):
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
+
+
+class FlowRule(FileRule):
+    """A rule reading its findings from its family's shared pass.
+
+    Subclasses set ``family`` (as a ``staticmethod``); every rule of a
+    family shares one fixpoint per file.  The families police
+    ``src/repro`` outside the linter itself.
+    """
+
+    family: Family
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if not module.in_repro or module.package == "lint":
+            return
+        for rule_id, line, col, message in flow_findings(module, self.family):
+            if rule_id == self.id:
+                yield self.finding(module, line, col, message)
 
 
 class ProjectRule(Rule):
@@ -87,13 +102,12 @@ def rule_ids() -> List[str]:
 
 
 def iter_rule_metadata() -> Iterable[Dict[str, str]]:
-    """Id/name/description/severity for ``--list-rules`` and the docs."""
+    """Id/name/description for ``--list-rules`` and the docs."""
     for rule in all_rules():
         yield {
             "id": rule.id,
             "name": rule.name,
             "description": rule.description,
-            "severity": rule.severity,
         }
 
 
@@ -104,7 +118,6 @@ def _load_builtin_rules() -> None:
         rules_float,
         rules_layering,
         rules_obs,
-        rules_pool,
         rules_rng,
         rules_units,
     )

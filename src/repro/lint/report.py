@@ -8,60 +8,27 @@ from typing import Dict, List
 from repro.lint.runner import LintResult
 
 
-def format_text(result: LintResult, show_baselined: bool = False) -> str:
-    lines: List[str] = []
-    for finding in result.findings:
-        lines.append(
-            f"{finding.location()}: {finding.rule} [{finding.severity}] "
-            f"{finding.message}"
-        )
-    if show_baselined:
-        for finding in result.baselined:
-            lines.append(
-                f"{finding.location()}: {finding.rule} [baselined] "
-                f"{finding.message}"
-            )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"note: stale baseline entry {entry.rule} @ {entry.path} "
-            f"({entry.fingerprint}) no longer matches; refresh with "
-            f"--write-baseline"
-        )
-    for path, pragma in result.stale_pragmas:
-        lines.append(
-            f"note: stale pragma disable-file={pragma.rule} @ "
-            f"{path}:{pragma.line} suppressed nothing; remove it"
-        )
-    summary = (
+def format_text(result: LintResult) -> str:
+    lines: List[str] = [
+        f"{finding.location()}: {finding.rule} {finding.message}"
+        for finding in result.findings
+    ]
+    lines.append(
         f"{len(result.files)} files checked: "
         f"{len(result.findings)} finding(s), "
-        f"{len(result.baselined)} baselined, "
-        f"{result.suppressed_count} suppressed by pragma, "
-        f"{len(result.stale_baseline)} stale baseline entr"
-        f"{'y' if len(result.stale_baseline) == 1 else 'ies'}, "
-        f"{len(result.stale_pragmas)} stale pragma(s)"
+        f"{result.suppressed_count} suppressed by pragma"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
 def format_json(result: LintResult) -> str:
     payload: Dict[str, object] = {
-        "version": 1,
+        "version": 2,
         "files_checked": len(result.files),
         "findings": [finding.to_json() for finding in result.findings],
-        "baselined": [finding.to_json() for finding in result.baselined],
-        "stale_baseline": [entry.to_json() for entry in result.stale_baseline],
-        "stale_pragmas": [
-            {"path": path, **pragma.to_json()}
-            for path, pragma in result.stale_pragmas
-        ],
         "counts": {
-            "new": len(result.findings),
-            "baselined": len(result.baselined),
+            "findings": len(result.findings),
             "suppressed": result.suppressed_count,
-            "stale_baseline": len(result.stale_baseline),
-            "stale_pragmas": len(result.stale_pragmas),
         },
         "ok": result.ok,
     }

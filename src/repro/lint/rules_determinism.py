@@ -38,10 +38,6 @@ _RANDOM_MODULE_FUNCS = frozenset({
     "expovariate", "gammavariate", "gauss", "lognormvariate", "normalvariate",
     "paretovariate", "vonmisesvariate", "weibullvariate",
 })
-#: Order-insensitive consumers: passing a set here is fine.
-_ORDER_SAFE_CALLS = frozenset({
-    "sorted", "len", "sum", "min", "max", "any", "all", "set", "frozenset",
-})
 
 
 def _import_tables(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, Tuple[str, str]]]:

@@ -238,6 +238,6 @@ class ProcessPoolConfinementRule(FileRule):
                     module, line, 0,
                     f"import of {name!r} outside the declared process-pool "
                     f"modules; spawn workers via repro.core.parallel, which "
-                    f"preserves determinism (serial sampling, seeded "
-                    f"bootstrap, ordered merge)",
+                    f"preserves determinism (serial sampling, hermetic "
+                    f"tasks, index-ordered merge)",
                 )

@@ -26,7 +26,7 @@ metric families.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.layers import OBS_ALLOWED_TARGETS, OBS_FORBIDDEN_MODULES, SIM_PACKAGES

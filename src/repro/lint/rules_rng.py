@@ -22,26 +22,26 @@ values are consumed.
   module-level RNG singleton, or ``global x; x = rng``) outside
   ``repro.util.rng``: hidden shared streams make draw order
   load-bearing across call sites.
+
+The three rules share one pass, :func:`check_rng`, run once per file by
+:func:`repro.lint.dataflow.flow_findings`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.lint.cfg import FUNCTION_NODES
 from repro.lint.dataflow import (
     Env,
     ForwardAnalysis,
+    Report,
     iter_shallow_exprs,
     transfer_assignments,
 )
-from repro.lint.findings import Finding
 from repro.lint.modinfo import ModuleInfo
-from repro.lint.registry import FileRule, register
+from repro.lint.registry import FlowRule, register
 from repro.lint.rules_determinism import _RANDOM_MODULE_FUNCS
-
-RawFinding = Tuple[str, int, int, str]
 
 #: The abstract "this value is (derived from) a random.Random" tag.
 RNG = "rng"
@@ -162,19 +162,8 @@ def _global_names(func: ast.AST) -> Set[str]:
     return names
 
 
-def _analyse_module(module: ModuleInfo) -> List[RawFinding]:
-    cached = module.analysis_cache.get("rng")
-    if cached is not None:
-        return cached
-    raw: List[RawFinding] = []
-    seen = set()
-
-    def report(node: ast.AST, rule: str, message: str) -> None:
-        key = (rule, getattr(node, "lineno", 1), getattr(node, "col_offset", 0))
-        if key not in seen:
-            seen.add(key)
-            raw.append((rule, key[1], key[2], message))
-
+def check_rng(module: ModuleInfo, report: Report) -> None:
+    """The R-family pass: RNG-taint analysis over every CFG in ``module``."""
     in_rng_module = module.module == "repro.util.rng"
     for cfg in module.function_cfgs():
         analysis = RngTaintAnalysis()
@@ -182,9 +171,7 @@ def _analyse_module(module: ModuleInfo) -> List[RawFinding]:
         guarded = {} if is_module_body else _guarded_regions(cfg.node)
         globals_here = set() if is_module_body else _global_names(cfg.node)
 
-        def check_stmt(stmt: ast.stmt, env: Env, analysis=analysis,
-                       guarded=guarded, globals_here=globals_here,
-                       is_module_body=is_module_body) -> None:
+        def check_stmt(stmt: ast.stmt, env: Env) -> None:
             # R603: RNG escaping to module scope.
             if isinstance(stmt, ast.Assign) and not in_rng_module:
                 if analysis.evaluate(stmt.value, dict(env)) == RNG:
@@ -226,23 +213,11 @@ def _analyse_module(module: ModuleInfo) -> List[RawFinding]:
                             f"diverge when telemetry toggles",
                         )
 
-        entry_envs = analysis.solve(cfg)
-        for block in cfg.blocks:
-            env = dict(entry_envs.get(block.bid, {}))
-            for stmt in block.stmts:
-                check_stmt(stmt, env)
-                analysis.transfer(stmt, env)
-    module.analysis_cache["rng"] = raw
-    return raw
+        analysis.report_pass(cfg, check_stmt)
 
 
-class _RngRule(FileRule):
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_repro or module.package == "lint":
-            return
-        for rule_id, line, col, message in _analyse_module(module):
-            if rule_id == self.id:
-                yield self.finding(module, line, col, message)
+class _RngRule(FlowRule):
+    family = staticmethod(check_rng)
 
 
 @register

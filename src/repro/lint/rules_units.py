@@ -22,28 +22,25 @@ though no single line mixes suffixes.
 
 All reports require both sides to have *known* dimensions; anything the
 algebra does not model evaluates to unknown and stays silent, keeping
-the rules conservative.
+the rules conservative.  The five rules share one pass,
+:func:`check_units`, run once per file by
+:func:`repro.lint.dataflow.flow_findings`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.lint import dimensions as dims
-from repro.lint.cfg import FunctionCFG
 from repro.lint.dataflow import (
     Env,
     ForwardAnalysis,
     iter_shallow_exprs,
     transfer_assignments,
 )
-from repro.lint.findings import Finding
 from repro.lint.modinfo import ModuleInfo
-from repro.lint.registry import FileRule, register
-
-#: (rule_id, line, col, message) tuples produced by one module analysis.
-RawFinding = Tuple[str, int, int, str]
+from repro.lint.registry import FlowRule, register
 
 Report = Optional[Callable[[ast.AST, str, str], None]]
 
@@ -85,9 +82,6 @@ def _literal_value(node: ast.expr) -> object:
 
 class DimensionAnalysis(ForwardAnalysis):
     """Forward dimension propagation over one function CFG."""
-
-    def __init__(self) -> None:
-        self.raw: List[RawFinding] = []
 
     # -- lattice --------------------------------------------------------------
 
@@ -339,30 +333,14 @@ def _comp_names(target: ast.expr) -> List[str]:
     return []
 
 
-def _analyse_module(module: ModuleInfo) -> List[RawFinding]:
-    """Run the dimension analysis once per module (memoized on the
-    ModuleInfo, so the five U-rules share a single fixpoint)."""
-    cached = module.analysis_cache.get("units")
-    if cached is not None:
-        return cached
-    raw: List[RawFinding] = []
-    seen = set()
-
-    def report(node: ast.AST, rule: str, message: str) -> None:
-        key = (rule, getattr(node, "lineno", 1), getattr(node, "col_offset", 0))
-        if key in seen:
-            return
-        seen.add(key)
-        raw.append((rule, key[1], key[2], message))
-
+def check_units(module: ModuleInfo, report: Report) -> None:
+    """The U-family pass: dimension analysis over every CFG in ``module``."""
     for cfg in module.function_cfgs():
         analysis = DimensionAnalysis()
         declared_return = dims.dimension_of_name(cfg.name) \
             if cfg.name != "<module>" else None
 
-        def check_stmt(stmt: ast.stmt, env: Env,
-                       declared_return=declared_return, cfg=cfg,
-                       analysis=analysis) -> None:
+        def check_stmt(stmt: ast.stmt, env: Env) -> None:
             if isinstance(stmt, ast.Return) and stmt.value is not None \
                     and declared_return is not None:
                 value = analysis.evaluate(stmt.value, dict(env), report)
@@ -378,25 +356,11 @@ def _analyse_module(module: ModuleInfo) -> List[RawFinding]:
                 return
             analysis.transfer(stmt, dict(env), report)
 
-        entry_envs = analysis.solve(cfg)
-        for block in cfg.blocks:
-            env = dict(entry_envs.get(block.bid, {}))
-            for stmt in block.stmts:
-                check_stmt(stmt, env)
-                analysis.transfer(stmt, env)
-    module.analysis_cache["units"] = raw
-    return raw
+        analysis.report_pass(cfg, check_stmt)
 
 
-class _UnitRule(FileRule):
-    """Base for the five U-rules: filter the shared analysis by id."""
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_repro or module.package == "lint":
-            return
-        for rule_id, line, col, message in _analyse_module(module):
-            if rule_id == self.id:
-                yield self.finding(module, line, col, message)
+class _UnitRule(FlowRule):
+    family = staticmethod(check_units)
 
 
 @register

@@ -1,4 +1,4 @@
-"""Orchestration: discovery -> parse -> rules -> pragmas -> baseline.
+"""Orchestration: discovery -> parse -> rules -> pragmas.
 
 :func:`run_lint` is the single entry point used by the CLI, the CI
 gate, and the pytest meta-test; :func:`lint_sources` lints in-memory
@@ -9,23 +9,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-)
 from repro.lint.discovery import discover_files, find_repo_root
-from repro.lint.findings import Finding, assign_occurrences
+from repro.lint.findings import Finding
 from repro.lint.modinfo import ModuleInfo, parse_module
-from repro.lint.pragmas import (
-    file_suppressed,
-    parse_file_pragmas,
-    parse_pragmas,
-    suppressed,
-)
+from repro.lint.pragmas import parse_pragmas, suppressed
 from repro.lint.registry import FileRule, ProjectRule, all_rules
 
 
@@ -35,16 +24,10 @@ class LintResult:
 
     root: str
     files: List[str] = field(default_factory=list)
-    #: Findings not covered by the baseline — these gate CI.
+    #: Findings with no pragma on their line — these gate CI.
     findings: List[Finding] = field(default_factory=list)
-    #: Findings matched by a baseline entry.
-    baselined: List[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (candidates for removal).
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    #: Findings silenced by a ``# lint: disable=`` pragma (line or file).
+    #: Findings silenced by a ``# lint: disable=`` pragma.
     suppressed_count: int = 0
-    #: ``disable-file`` entries that suppressed nothing: (path, pragma).
-    stale_pragmas: List[tuple] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -69,41 +52,19 @@ def _check_modules(
 
 def _drop_suppressed(
     raw: Sequence[Finding], modules: Sequence[ModuleInfo]
-) -> tuple:
-    """(kept findings, suppressed count, stale ``disable-file`` pragmas).
-
-    File-level pragmas mirror baseline staleness: every ``disable-file``
-    rule id that suppressed zero findings comes back as stale so the
-    report can flag it for removal.
-    """
+) -> Tuple[List[Finding], int]:
+    """(kept findings in path/line/col/rule order, suppressed count)."""
     pragma_tables = {
         module.path: parse_pragmas(module.lines) for module in modules
     }
-    file_tables = {
-        module.path: parse_file_pragmas(module.lines) for module in modules
-    }
-    used: set = set()
-    kept: List[Finding] = []
-    dropped = 0
-    for finding in raw:
-        pragmas = pragma_tables.get(finding.path, {})
-        if suppressed(pragmas, finding.line, finding.rule):
-            dropped += 1
-            continue
-        hit, matches = file_suppressed(
-            file_tables.get(finding.path, ()), finding.rule
+    kept = [
+        finding for finding in raw
+        if not suppressed(
+            pragma_tables.get(finding.path, {}), finding.line, finding.rule
         )
-        if hit:
-            dropped += 1
-            used.update((finding.path, entry) for entry in matches)
-            continue
-        kept.append(finding)
-    stale: List[tuple] = []
-    for path in sorted(file_tables):
-        for entry in file_tables[path]:
-            if (path, entry) not in used:
-                stale.append((path, entry))
-    return kept, dropped, stale
+    ]
+    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return kept, len(raw) - len(kept)
 
 
 def parse_files(root: str, rel_paths: Sequence[str]) -> tuple:
@@ -123,7 +84,6 @@ def parse_files(root: str, rel_paths: Sequence[str]) -> tuple:
                 line=error.lineno or 1,
                 col=(error.offset or 1) - 1,
                 message=f"file does not parse: {error.msg}",
-                line_text=(error.text or "").strip(),
             ))
         except (OSError, UnicodeDecodeError) as error:
             errors.append(Finding(
@@ -136,10 +96,9 @@ def parse_files(root: str, rel_paths: Sequence[str]) -> tuple:
 def lint_modules(
     modules: List[ModuleInfo], only_rules: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Rules + pragmas + occurrence numbering over parsed modules."""
-    raw = _check_modules(modules, only_rules)
-    kept, _, _ = _drop_suppressed(raw, modules)
-    return assign_occurrences(kept)
+    """Rules + pragmas over parsed modules."""
+    kept, _ = _drop_suppressed(_check_modules(modules, only_rules), modules)
+    return kept
 
 
 def lint_sources(
@@ -153,35 +112,15 @@ def lint_sources(
 def run_lint(
     root: Optional[str] = None,
     paths: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
-    use_baseline: bool = True,
     only_rules: Optional[Iterable[str]] = None,
 ) -> LintResult:
-    """Full pipeline over a checkout.
-
-    ``paths`` defaults to the shared discovery roots; ``baseline_path``
-    defaults to ``<root>/lint-baseline.json``.  Pass
-    ``use_baseline=False`` to see the unfiltered findings.
-    """
+    """Full pipeline over a checkout; ``paths`` defaults to the shared
+    discovery roots."""
     root = root or find_repo_root()
     files = discover_files(root, paths)
     modules, errors = parse_files(root, files)
     raw = _check_modules(modules, only_rules) + errors
-    kept, dropped, stale_pragmas = _drop_suppressed(raw, modules)
-    findings = assign_occurrences(kept)
-
-    result = LintResult(
-        root=root, files=files, suppressed_count=dropped,
-        stale_pragmas=stale_pragmas,
+    findings, dropped = _drop_suppressed(raw, modules)
+    return LintResult(
+        root=root, files=files, findings=findings, suppressed_count=dropped,
     )
-    if use_baseline:
-        if baseline_path is None:
-            baseline_path = os.path.join(root, DEFAULT_BASELINE_NAME)
-        entries = load_baseline(baseline_path)
-        new, matched, stale = apply_baseline(findings, entries)
-        result.findings = new
-        result.baselined = matched
-        result.stale_baseline = stale
-    else:
-        result.findings = findings
-    return result

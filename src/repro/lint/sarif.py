@@ -1,15 +1,13 @@
 """SARIF 2.1.0 output for the lint gate.
 
 SARIF (Static Analysis Results Interchange Format) is the schema GitHub
-code scanning ingests: emitting it lets CI annotate PR diffs with U/R/P
+code scanning ingests: emitting it lets CI annotate PR diffs with
 findings instead of burying them in a job log.  The document built here
 is deliberately minimal-but-valid: one ``run``, the rule catalogue under
 ``tool.driver.rules`` (only rules that actually fired, so the file stays
-small), and one ``result`` per finding carrying the same stable
-fingerprint the baseline uses under ``partialFingerprints``.
-
-Baselined findings are exported with ``"suppressions"`` so code scanning
-shows them as dismissed rather than re-opening them on every push.
+small), and one ``error``-level ``result`` per finding.  Pragma-suppressed
+findings are not exported; the code-scanning uploader derives each
+result's identity itself.
 """
 
 from __future__ import annotations
@@ -27,11 +25,6 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Key under ``partialFingerprints`` carrying the baseline fingerprint.
-FINGERPRINT_KEY = "reproLint/v1"
-
-_LEVELS = {"error": "error", "warning": "warning"}
-
 
 def _rule_object(meta: Dict[str, str]) -> Dict[str, object]:
     return {
@@ -39,19 +32,17 @@ def _rule_object(meta: Dict[str, str]) -> Dict[str, object]:
         "name": meta["name"],
         "shortDescription": {"text": meta["name"].replace("-", " ")},
         "fullDescription": {"text": meta["description"]},
-        "defaultConfiguration": {
-            "level": _LEVELS.get(meta["severity"], "error"),
-        },
+        "defaultConfiguration": {"level": "error"},
     }
 
 
 def _result_object(
     finding: Finding, rule_index: Dict[str, int]
 ) -> Dict[str, object]:
-    result: Dict[str, object] = {
+    return {
         "ruleId": finding.rule,
         "ruleIndex": rule_index[finding.rule],
-        "level": _LEVELS.get(finding.severity, "error"),
+        "level": "error",
         "message": {"text": finding.message},
         "locations": [
             {
@@ -67,19 +58,12 @@ def _result_object(
                 },
             }
         ],
-        "partialFingerprints": {FINGERPRINT_KEY: finding.fingerprint},
     }
-    if finding.baselined:
-        result["suppressions"] = [
-            {"kind": "external", "justification": "covered by lint-baseline.json"}
-        ]
-    return result
 
 
 def build_sarif(result: LintResult) -> Dict[str, object]:
     """The SARIF 2.1.0 document for one lint run, as a plain dict."""
-    exported = list(result.findings) + list(result.baselined)
-    fired = {finding.rule for finding in exported}
+    fired = {finding.rule for finding in result.findings}
     rules = [
         _rule_object(meta)
         for meta in iter_rule_metadata()
@@ -87,7 +71,7 @@ def build_sarif(result: LintResult) -> Dict[str, object]:
     ]
     rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
     results: List[Dict[str, object]] = [
-        _result_object(finding, rule_index) for finding in exported
+        _result_object(finding, rule_index) for finding in result.findings
     ]
     return {
         "$schema": SARIF_SCHEMA,

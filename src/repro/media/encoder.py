@@ -44,10 +44,6 @@ class GopPattern:
         if self.i_period < 1:
             raise ValueError("i_period must be >= 1")
 
-    @property
-    def uses_b_frames(self) -> bool:
-        return self.kind == "IBP"
-
     def display_types(self) -> List[str]:
         """Frame types of one GOP in display order."""
         if self.kind == "I":

@@ -26,12 +26,6 @@ class HlsSegment:
     audio_frames: List[AudioFrame] = field(default_factory=list)
 
     @property
-    def end_pts(self) -> float:
-        if not self.video_frames:
-            return self.start_pts
-        return max(f.pts for f in self.video_frames)
-
-    @property
     def duration_s(self) -> float:
         """Nominal duration: from first to last frame plus one frame gap.
 

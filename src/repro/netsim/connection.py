@@ -115,10 +115,6 @@ class Path:
         """Sum of propagation delays along the path."""
         return sum(link.delay_s for link in self.links)
 
-    def reversed_over(self, reverse_links: Sequence[Link]) -> "Path":
-        """Build the reverse path over the given opposite-direction links."""
-        return Path(list(reversed(self.hosts)), list(reverse_links))
-
 
 class Connection:
     """A bidirectional reliable stream between two hosts.

@@ -437,12 +437,3 @@ def attribution_jsonl(telemetry: Telemetry) -> str:
         json.dumps(record.to_dict(), separators=(",", ":"), sort_keys=True)
         for record in telemetry.causes.records
     )
-
-
-def write_attribution_jsonl(telemetry: Telemetry, sink: IO[str]) -> int:
-    """Write the attribution records to an open text stream."""
-    for record in telemetry.causes.records:
-        sink.write(json.dumps(record.to_dict(), separators=(",", ":"),
-                              sort_keys=True))
-        sink.write("\n")
-    return len(telemetry.causes.records)

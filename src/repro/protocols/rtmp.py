@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.media.bitstream import (
@@ -230,10 +230,6 @@ class RtmpPushSession:
         self.frames_pushed = 0
         self.bytes_pushed = 0
 
-    def handshake_response_bytes(self) -> int:
-        """Wire bytes of S0+S1+S2 plus the command responses."""
-        return HANDSHAKE_S0S1S2 + 300  # _result(connect) + onStatus(play)
-
     def push_frame(self, frame: Union[EncodedFrame, AudioFrame]) -> Message:
         """Chunk and transmit one media frame right now."""
         if isinstance(frame, EncodedFrame):
@@ -277,11 +273,6 @@ def _chunked_payload_size(payload_len: int, chunk_size: int = DEFAULT_CHUNK_SIZE
     if n_continuations < 0:
         n_continuations = 0
     return 12 + payload_len + n_continuations
-
-
-def _chunked_size(message: RtmpMessage, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
-    """Wire size of a message after chunking, without serializing it."""
-    return _chunked_payload_size(len(message.payload), chunk_size)
 
 
 class RtmpReceiver:

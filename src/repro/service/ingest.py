@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.service.geo import GeoPoint
 
@@ -103,12 +103,6 @@ class IngestPool:
         if not candidates:
             raise ValueError("every ingest region is excluded")
         return min(candidates, key=lambda s: s.location.distance_deg(location))
-
-    def by_ip(self, ip: str) -> Optional[RtmpIngestServer]:
-        for server in self.servers:
-            if server.ip == ip:
-                return server
-        return None
 
 
 def nearest_cdn_edge(

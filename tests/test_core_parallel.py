@@ -7,6 +7,7 @@ serial and each session is hermetic given its setup.
 
 import json
 import math
+import pickle
 
 import pytest
 
@@ -256,6 +257,18 @@ def test_run_tasks_runs_inline_below_two_workers():
     # A single item never starts a pool either, so even a callable that
     # cannot be pickled runs.
     assert run_tasks(lambda value: value + 1, [1], workers=4) == [2]
+
+
+def test_run_tasks_rejects_unpicklable_task_in_a_pool():
+    """Pooled tasks cross the process boundary by pickle: a lambda or a
+    nested function fails inside the call — no hang, no partial result
+    list.  (The exception type differs across Python versions.)"""
+    def nested(value):
+        return value + 1
+
+    for task in (lambda value: value + 1, nested):
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            run_tasks(task, [1, 2, 3], workers=2)
 
 
 def test_run_sessions_runs_inline_below_two_workers():

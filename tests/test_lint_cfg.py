@@ -1,6 +1,6 @@
 """The dataflow engine never takes the linter down.
 
-The CFG builder and the three flow analyses run over every construct
+CFG construction and the two flow analyses run over every construct
 Python can throw at them — the whole shipped tree plus a torture
 fixture — and must finish without raising.  Also pins the single-parse
 / single-CFG-build contract: one ``ast.parse`` and one CFG build per
@@ -15,9 +15,11 @@ import pytest
 
 from repro.lint import discover_files, find_repo_root, lint_sources
 from repro.lint.cfg import build_module_cfgs
-from repro.lint.dataflow import ForwardAnalysis
+from repro.lint.dataflow import ForwardAnalysis, flow_findings
 from repro.lint.modinfo import parse_module
-from repro.lint import rules_pool, rules_rng, rules_units
+from repro.lint import rules_rng, rules_units
+
+FAMILIES = (rules_units.check_units, rules_rng.check_rng)
 
 TORTURE = textwrap.dedent('''
     """Every awkward construct in one file."""
@@ -120,9 +122,8 @@ TORTURE_MATCH = textwrap.dedent('''
 
 
 def _run_all_analyses(module):
-    rules_units._analyse_module(module)
-    rules_rng._analyse_module(module)
-    rules_pool._analyse_module(module)
+    for family in FAMILIES:
+        flow_findings(module, family)
 
 
 class TestTorture:
@@ -212,18 +213,30 @@ class TestSingleParse:
             "src/repro/netsim/one.py": "def f(rng):\n    return rng.random()\n",
             "src/repro/netsim/two.py": "def g(pool, xs):\n    return pool.map(len, xs)\n",
         }
-        lint_sources(sources)  # U, R, and P families all need CFGs
+        lint_sources(sources)  # the U and R families both need CFGs
         assert len(builds) == len(sources)
 
-    def test_family_analyses_are_memoized_per_module(self):
+    def test_family_analyses_are_memoized_per_module(self, monkeypatch):
+        solved = []
+        real_solve = ForwardAnalysis.solve
+
+        def counting_solve(analysis, cfg):
+            solved.append((type(analysis).__name__, cfg.name))
+            return real_solve(analysis, cfg)
+
+        monkeypatch.setattr(ForwardAnalysis, "solve", counting_solve)
         module = parse_module(
             "src/repro/netsim/memo.py",
             "def f(delay_s, frame_bytes):\n    return delay_s + frame_bytes\n",
         )
-        first = rules_units._analyse_module(module)
-        assert rules_units._analyse_module(module) is first
-        assert rules_rng._analyse_module(module) is rules_rng._analyse_module(module)
-        assert rules_pool._analyse_module(module) is rules_pool._analyse_module(module)
+        for family in FAMILIES:
+            first = flow_findings(module, family)
+            assert flow_findings(module, family) is first
+        # One fixpoint per family per CFG (the module body and ``f``).
+        assert sorted(solved) == [
+            ("DimensionAnalysis", "<module>"), ("DimensionAnalysis", "f"),
+            ("RngTaintAnalysis", "<module>"), ("RngTaintAnalysis", "f"),
+        ]
 
 
 class TestDataflowContract:

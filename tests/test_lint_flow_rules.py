@@ -1,5 +1,5 @@
 """Positive + negative fixtures for the flow-sensitive rule families:
-U (units/dimensions), R (RNG taint), P (process-pool safety).
+U (units/dimensions) and R (RNG taint).
 
 Every rule id gets at least one source that must fire it and one
 adjacent-but-legitimate source that must stay silent — the silence
@@ -276,123 +276,6 @@ class TestRngGlobalEscape:
                 stream = child_rng(seed, "local")
                 return stream
         """, ["R603"]) == []
-
-
-# ------------------------------------------------------------------ P701
-
-class TestUnpicklableDispatch:
-    def test_lambda_task_fires(self):
-        assert rules_fired("""
-            def run(pool, items):
-                job = lambda x: x + 1
-                return list(pool.map(job, items))
-        """, ["P701"]) == ["P701"]
-
-    def test_nested_function_task_fires(self):
-        assert rules_fired("""
-            def run(pool, items):
-                def job(x):
-                    return x + 1
-                return list(pool.map(job, items))
-        """, ["P701"]) == ["P701"]
-
-    def test_event_loop_argument_fires(self):
-        assert rules_fired("""
-            from repro.netsim.events import EventLoop
-
-            def run(pool, task):
-                loop = EventLoop()
-                return pool.submit(task, loop)
-        """, ["P701"]) == ["P701"]
-
-    def test_open_handle_initarg_fires(self):
-        assert rules_fired("""
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(boot, path):
-                handle = open(path)
-                with ProcessPoolExecutor(initializer=boot, initargs=(handle,)) as pool:
-                    return pool
-        """, ["P701"]) == ["P701"]
-
-    def test_module_level_function_is_fine(self):
-        assert rules_fired("""
-            def job(x):
-                return x + 1
-
-            def run(pool, items):
-                return list(pool.map(job, items))
-        """, ["P701"]) == []
-
-
-# ------------------------------------------------------------------ P702
-
-class TestDispatchedGlobalMutation:
-    def test_dispatched_task_writing_global_fires(self):
-        assert rules_fired("""
-            _TOTAL = 0
-
-            def job(x):
-                global _TOTAL
-                _TOTAL += x
-                return x
-
-            def run(pool, items):
-                return list(pool.map(job, items))
-        """, ["P702"]) == ["P702"]
-
-    def test_initializer_global_write_is_exempt(self):
-        # The sanctioned _worker_init idiom: globals written in the pool
-        # initializer, read-only in the dispatched task.
-        assert rules_fired("""
-            from concurrent.futures import ProcessPoolExecutor
-
-            _CFG = None
-
-            def _init(cfg):
-                global _CFG
-                _CFG = cfg
-
-            def job(x):
-                return (_CFG, x)
-
-            def run(items, cfg):
-                with ProcessPoolExecutor(initializer=_init, initargs=(cfg,)) as pool:
-                    return list(pool.map(job, items))
-        """, ["P702"]) == []
-
-    def test_undispatched_global_writer_is_fine(self):
-        assert rules_fired("""
-            _MODE = None
-
-            def set_mode(mode):
-                global _MODE
-                _MODE = mode
-        """, ["P702"]) == []
-
-
-# ------------------------------------------------------------------ P703
-
-class TestCompletionOrderMerge:
-    def test_as_completed_fires(self):
-        assert rules_fired("""
-            from concurrent.futures import as_completed
-
-            def merge(futures):
-                return [f.result() for f in as_completed(futures)]
-        """, ["P703"]) == ["P703"]
-
-    def test_imap_unordered_fires(self):
-        assert rules_fired("""
-            def merge(pool, job, items):
-                return list(pool.imap_unordered(job, items))
-        """, ["P703"]) == ["P703"]
-
-    def test_submission_order_merge_is_fine(self):
-        assert rules_fired("""
-            def merge(futures):
-                return [f.result() for f in futures]
-        """, ["P703"]) == []
 
 
 # ------------------------------------------- genuine-violation regression

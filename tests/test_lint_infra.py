@@ -1,28 +1,9 @@
-"""Linter infrastructure: pragmas, baseline lifecycle, fingerprints,
-and the shared file discovery."""
+"""Linter infrastructure: pragmas and the shared file discovery."""
 
-import json
 import os
 import textwrap
 
-from repro.lint import (
-    apply_baseline,
-    discover_files,
-    lint_sources,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
-from repro.lint.baseline import BaselineEntry
-
-
-def _violation_source():
-    return textwrap.dedent("""
-        import time
-
-        def arrival():
-            return time.time()
-    """)
+from repro.lint import discover_files, lint_sources, run_lint
 
 
 # ---------------------------------------------------------------- pragmas
@@ -78,83 +59,6 @@ class TestPragmas:
         assert [f.rule for f in findings] == ["D101"]
 
 
-# ---------------------------------------------------------------- fingerprints
-
-class TestFingerprints:
-    def test_stable_across_line_shifts(self):
-        base = _violation_source()
-        shifted = "# a new leading comment\n" + base
-        f1 = lint_sources({"src/repro/netsim/s.py": base}, only_rules=["D101"])
-        f2 = lint_sources({"src/repro/netsim/s.py": shifted}, only_rules=["D101"])
-        assert f1[0].fingerprint == f2[0].fingerprint
-        assert f1[0].line != f2[0].line
-
-    def test_identical_lines_get_distinct_fingerprints(self):
-        source = textwrap.dedent("""
-            import time
-
-            def a():
-                return time.time()
-
-            def b():
-                return time.time()
-        """)
-        findings = lint_sources(
-            {"src/repro/netsim/s.py": source}, only_rules=["D101"]
-        )
-        assert len(findings) == 2
-        assert findings[0].fingerprint != findings[1].fingerprint
-
-
-# ---------------------------------------------------------------- baseline
-
-class TestBaseline:
-    def test_add_then_expire(self, tmp_path):
-        findings = lint_sources(
-            {"src/repro/netsim/s.py": _violation_source()}, only_rules=["D101"]
-        )
-        baseline_path = str(tmp_path / "lint-baseline.json")
-        assert write_baseline(baseline_path, findings) == 1
-        entries = load_baseline(baseline_path)
-
-        # Same findings again: fully absorbed, nothing stale.
-        new, baselined, stale = apply_baseline(findings, entries)
-        assert new == [] and len(baselined) == 1 and stale == []
-
-        # Violation fixed: the entry goes stale...
-        new, baselined, stale = apply_baseline([], entries)
-        assert new == [] and baselined == [] and len(stale) == 1
-
-        # ...and a rewrite drops it.
-        assert write_baseline(baseline_path, []) == 0
-        assert load_baseline(baseline_path) == []
-
-    def test_baseline_does_not_hide_new_findings(self):
-        old = lint_sources(
-            {"src/repro/netsim/s.py": _violation_source()}, only_rules=["D101"]
-        )
-        entries = [BaselineEntry(f.rule, f.path, f.fingerprint) for f in old]
-        two = textwrap.dedent("""
-            import time
-
-            def arrival():
-                return time.time()
-
-            def departure():
-                return time.perf_counter()
-        """)
-        findings = lint_sources(
-            {"src/repro/netsim/s.py": two}, only_rules=["D101"]
-        )
-        new, baselined, stale = apply_baseline(findings, entries)
-        assert len(baselined) == 1
-        assert len(new) == 1
-        assert "perf_counter" in new[0].message
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "nope.json")) == []
-
-
 # ---------------------------------------------------------------- discovery
 
 class TestDiscovery:
@@ -204,67 +108,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 class TestShippedTree:
     def test_shipped_tree_is_lint_clean(self):
-        """The tier-1 CI gate: src/repro + tests, against the checked-in
-        baseline, must produce zero new findings."""
+        """The tier-1 CI gate: src/repro + tests must produce zero
+        findings."""
         result = run_lint(root=REPO_ROOT)
         formatted = "\n".join(
             f"{f.location()}: {f.rule} {f.message}" for f in result.findings
         )
-        assert result.ok, f"new lint findings:\n{formatted}"
+        assert result.ok, f"lint findings:\n{formatted}"
         assert len(result.files) > 100  # sanity: the whole tree was seen
-
-    def test_checked_in_baseline_has_no_stale_entries(self):
-        result = run_lint(root=REPO_ROOT)
-        assert result.stale_baseline == []
-
-    def test_baseline_file_is_valid_json_with_version(self):
-        path = os.path.join(REPO_ROOT, "lint-baseline.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["version"] == 1
-        assert isinstance(payload["findings"], list)
-
-
-# ------------------------------------------------- fingerprint normalization
-
-class TestFingerprintNormalization:
-    def test_stable_across_respacing(self):
-        """Pure formatting churn (internal whitespace) must not invalidate
-        baseline entries, same as pure line shifts."""
-        base = _violation_source()
-        respaced = base.replace("return time.time()", "return    time.time()")
-        f1 = lint_sources({"src/repro/netsim/s.py": base}, only_rules=["D101"])
-        f2 = lint_sources({"src/repro/netsim/s.py": respaced}, only_rules=["D101"])
-        assert f1[0].line_text != f2[0].line_text
-        assert f1[0].normalized_text == f2[0].normalized_text
-        assert f1[0].fingerprint == f2[0].fingerprint
-
-    def test_stable_across_shift_plus_reindent(self):
-        """The shifted fixture: new code above AND a reindent (wrapping in
-        an if) — line number and raw text both change, identity survives."""
-        base = _violation_source()
-        shifted = textwrap.dedent("""
-            import time
-
-            FLAG = True
-
-            def arrival():
-                if FLAG:
-                        return time.time()
-        """)
-        f1 = lint_sources({"src/repro/netsim/s.py": base}, only_rules=["D101"])
-        f2 = lint_sources({"src/repro/netsim/s.py": shifted}, only_rules=["D101"])
-        assert f1[0].line != f2[0].line
-        assert f1[0].fingerprint == f2[0].fingerprint
-
-    def test_respacing_keeps_baseline_entry_matching(self):
-        base = _violation_source()
-        findings = lint_sources({"src/repro/netsim/s.py": base}, only_rules=["D101"])
-        entries = [BaselineEntry(rule=f.rule, path=f.path, fingerprint=f.fingerprint)
-                   for f in findings]
-        respaced = base.replace("return time.time()", "return   time.time()")
-        after = lint_sources({"src/repro/netsim/s.py": respaced}, only_rules=["D101"])
-        new, matched, stale = apply_baseline(after, entries)
-        assert new == []
-        assert len(matched) == 1
-        assert stale == []

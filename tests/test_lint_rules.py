@@ -452,6 +452,19 @@ class TestLayering:
         }, only_rules=["L303"])
         assert findings == []
 
+    def test_relative_import_in_package_init(self):
+        # In a package ``__init__``, level 1 is the package itself:
+        # ``.causes`` is repro.obs.causes (no finding) and ``..core`` is
+        # repro.core (an upward import from netsim).
+        findings = lint_sources({
+            "src/repro/obs/__init__.py": "from .causes import CAUSES\n",
+            "src/repro/netsim/__init__.py": "from ..core import study\n",
+        }, only_rules=["L301", "O201"])
+        assert [(f.path, f.rule) for f in findings] == [
+            ("src/repro/netsim/__init__.py", "L301"),
+        ]
+        assert "upward import" in findings[0].message
+
 
 # ---------------------------------------------------------------- L304
 
