@@ -65,8 +65,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                         help="study scale factor (default: 0.05)")
     parser.add_argument("--faults", default="",
                         help="fault plan in the repro-faults grammar")
-    parser.add_argument("--exact-net", action="store_true",
-                        help="disable the netsim fast path")
     parser.add_argument("--explain", action="store_true",
                         help="capture cause attribution per cell")
     parser.add_argument("--health", action="store_true",
@@ -84,7 +82,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         watch_seconds=args.watch,
         scale=args.scale,
         faults=args.faults,
-        exact_network=args.exact_net,
         causes_enabled=args.explain,
         health_enabled=args.health,
     )

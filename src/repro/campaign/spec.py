@@ -54,7 +54,6 @@ class CampaignSpec:
     watch_seconds: float = 60.0
     scale: float = 0.05
     faults: str = ""
-    exact_network: bool = False
     causes_enabled: bool = False
     health_enabled: bool = False
 
@@ -79,8 +78,11 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        payload = json.loads(text)
-        payload.pop("schema_version", None)
+        # Keys that are not fields (``schema_version``, or a field an
+        # older spec had) are dropped, so older campaign.json files read.
+        fields = {field.name for field in dataclasses.fields(cls)}
+        payload = {key: value for key, value in json.loads(text).items()
+                   if key in fields}
         payload["seeds"] = tuple(payload.get("seeds", ()))
         payload["limits_mbps"] = tuple(payload.get("limits_mbps", ()))
         return cls(**payload)
@@ -142,7 +144,6 @@ def resolve_config(spec: CampaignSpec, seed: int) -> StudyConfig:
         workers=1,
         watch_seconds=spec.watch_seconds,
         faults=faults,
-        exact_network=spec.exact_network,
         causes_enabled=spec.causes_enabled,
         health_enabled=spec.health_enabled,
     )

@@ -99,12 +99,12 @@ class StudyConfig:
     health_enabled: bool = False
 
     # ------------------------------------------------------------------ network
-    #: Force the exact per-packet network path (one event-loop callback
-    #: per packet per link) instead of the default segment-granularity
-    #: fast path (:mod:`repro.netsim.fastpath`).  Results are
-    #: bit-identical either way — enforced by the fast-path identity
-    #: tests — so this is a debugging/verification knob, not a fidelity
-    #: one.
+    #: Ignored: no run reads it.  The exact per-packet path is a test
+    #: oracle whose only switch is
+    #: :func:`repro.netsim.fastpath.exact_network`.  The field stays
+    #: because campaign cell keys hash every field of this config, so
+    #: dropping it changes every stored key; it goes with the next
+    #: re-pin of the benchmark's golden digests.
     exact_network: bool = False
     #: Unshaped access bandwidth of the tethered phone (paper: >100 Mbps).
     access_bandwidth_bps: float = 100.0 * MBPS

@@ -43,7 +43,6 @@ from repro import obs
 from repro.core.config import StudyConfig
 from repro.core.qoe import SessionQoE
 from repro.core.session import SessionSetup, ViewingSession
-from repro.netsim import fastpath
 from repro.service.ingest import IngestPool
 from repro.util.rng import child_rng
 
@@ -75,10 +74,12 @@ def run_setups(
 ) -> Tuple[List[SessionResult], List[dict]]:
     """Run prepared setups in order: the one session executor.
 
-    Rebuilds the study's ingest pool from ``config.seed``, runs on the
-    network path ``config.exact_network`` names, and records each
-    session in its own :func:`obs.capture` scope.  Returns the results
-    and one telemetry snapshot per session, both in input order.
+    Rebuilds the study's ingest pool from ``config.seed`` and records
+    each session in its own :func:`obs.capture` scope.  Returns the
+    results and one telemetry snapshot per session, both in input order.
+    Sessions take this process's network path: the fast path, unless
+    the call runs inline inside :func:`repro.netsim.fastpath.exact_network`
+    (the identity tests' oracle switch; nothing passes it to workers).
 
     ``start`` is the offset of ``setups`` in the caller's full sequence:
     a session that raises gets the *global* index of the failing cell
@@ -88,20 +89,19 @@ def run_setups(
     ingest = IngestPool(child_rng(config.seed, "ingest-pool"))
     results: List[SessionResult] = []
     snapshots: List[dict] = []
-    with fastpath.exact_network(config.exact_network):
-        for offset, setup in enumerate(setups):
-            with obs.capture(spec) as snapshot:
-                try:
-                    artifacts = ViewingSession(setup, ingest=ingest).run()
-                except Exception as error:
-                    error.cell_index = start + offset  # type: ignore[attr-defined]
-                    raise
-            results.append(SessionResult(
-                qoe=artifacts.qoe,
-                avatar_bytes=artifacts.avatar_bytes,
-                down_bytes=artifacts.total_down_bytes,
-            ))
-            snapshots.append(snapshot)
+    for offset, setup in enumerate(setups):
+        with obs.capture(spec) as snapshot:
+            try:
+                artifacts = ViewingSession(setup, ingest=ingest).run()
+            except Exception as error:
+                error.cell_index = start + offset  # type: ignore[attr-defined]
+                raise
+        results.append(SessionResult(
+            qoe=artifacts.qoe,
+            avatar_bytes=artifacts.avatar_bytes,
+            down_bytes=artifacts.total_down_bytes,
+        ))
+        snapshots.append(snapshot)
     return results, snapshots
 
 

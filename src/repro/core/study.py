@@ -21,7 +21,6 @@ from repro.core.config import StudyConfig
 from repro.core.parallel import SessionResult, run_sessions
 from repro.core.qoe import SessionQoE
 from repro.core.session import SessionArtifacts, SessionSetup, ViewingSession
-from repro.netsim import fastpath
 from repro.service.ingest import IngestPool
 from repro.service.selection import DeliveryProtocol, select_protocol
 from repro.service.world import ServiceWorld, WorldParameters
@@ -222,17 +221,13 @@ class AutomatedViewingStudy:
                 self._count_sessions(telemetry, limit_label, dataset,
                                      len(results))
             return dataset
-        # The network-path switch scopes to execution only: sampling never
-        # builds connections, and restoring the previous value keeps a
-        # study from leaking its mode into the caller's process state.
-        with fastpath.exact_network(self.config.exact_network):
-            for setup in setups:
-                artifacts = self.run_session(setup)
-                dataset.sessions.append(artifacts.qoe)
-                dataset.avatar_bytes.append(artifacts.avatar_bytes)
-                dataset.down_bytes.append(artifacts.total_down_bytes)
-                if metrics_on:
-                    self._count_sessions(telemetry, limit_label, dataset, 1)
+        for setup in setups:
+            artifacts = self.run_session(setup)
+            dataset.sessions.append(artifacts.qoe)
+            dataset.avatar_bytes.append(artifacts.avatar_bytes)
+            dataset.down_bytes.append(artifacts.total_down_bytes)
+            if metrics_on:
+                self._count_sessions(telemetry, limit_label, dataset, 1)
         return dataset
 
     @staticmethod

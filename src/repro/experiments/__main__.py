@@ -133,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--trace-out are only collected serially)",
     )
     parser.add_argument(
-        "--exact-net", action="store_true",
-        help="force the exact per-packet network path instead of the "
-             "segment-granularity fast path (results are bit-identical; "
-             "use when per-packet event traces are under study)",
-    )
-    parser.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="fault plan for study sessions, e.g. "
              "'loss=0.02,jitter=0.01,flap=0.02:0.5:2,ingest=0.01:1:3,"
@@ -220,7 +214,6 @@ def main(argv: Optional[list] = None) -> int:
             health=health_on,
             workers=args.workers,
             faults=faults,
-            exact=args.exact_net,
         )
         figure = ALIASES.get(args.figure, args.figure)
         names = sorted(DRIVERS) if figure == "all" else [figure]

@@ -39,14 +39,12 @@ class Workbench:
         health: bool = False,
         workers: int = 1,
         faults: Optional[FaultPlan] = None,
-        exact: bool = False,
     ) -> None:
         self.config = StudyConfig(seed=seed, metrics_enabled=metrics,
                                   tracing_enabled=tracing,
                                   causes_enabled=causes,
                                   health_enabled=health,
-                                  workers=workers, faults=faults,
-                                  exact_network=exact)
+                                  workers=workers, faults=faults)
         #: Activate telemetry up front so loops built by crawls (which do
         #: not go through AutomatedViewingStudy) are profiled too.
         self.telemetry = obs.ensure_active(metrics=metrics, tracing=tracing,

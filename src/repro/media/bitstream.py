@@ -129,6 +129,8 @@ class FrameStreamParser:
         magic, type_code, qp, pts, dts, ntp_flag = _VIDEO_HEAD.unpack(
             bytes(self._buffer[:head_size])
         )
+        if type_code not in _CODE_TO_TYPE:
+            raise ValueError(f"corrupt stream: unknown frame type code {type_code:#x}")
         offset = head_size
         ntp: Optional[float] = None
         if ntp_flag:

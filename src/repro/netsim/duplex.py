@@ -67,10 +67,6 @@ class DuplexStream:
     def a_host(self):
         return self._a_to_b.src
 
-    @property
-    def b_host(self):
-        return self._a_to_b.dst
-
     def send_from_a(self, message: Message) -> Message:
         """Transmit toward endpoint b."""
         return self._a_to_b.send(message)

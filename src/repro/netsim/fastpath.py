@@ -40,9 +40,9 @@ attribution shrink.  Simulation *results* — delivery times, QoE,
 datasets — are bit-identical to the exact path, and so are packet
 captures, record for record and in the same order: taps fire at the
 same hops in the same ``(time, seq)`` order, ties between packets with
-exactly equal timestamps included.  Run with :func:`exact_network` (or
-``StudyConfig.exact_network``) when the per-hop event stream itself is
-the object of study.
+exactly equal timestamps included.  That leaves the exact path one job:
+it is the oracle the identity tests compare the fast path against, and
+:func:`exact_network` is its only switch.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "attach",
     "enabled",
     "exact_network",
-    "set_enabled",
 ]
 
 #: ACK packets carry no payload: header bytes only on the wire.
@@ -68,8 +67,7 @@ _ACK_WIRE_BYTES = HEADER_BYTES
 
 _INF = float("inf")
 
-#: Process-wide switch.  On by default; the exact per-packet path is the
-#: opt-in (``StudyConfig.exact_network`` / ``--exact-net``).  Read once
+#: Process-wide switch, flipped only by :func:`exact_network`.  Read once
 #: per Connection at construction, so flipping it never strands a
 #: half-migrated transfer.
 _enabled = True
@@ -80,22 +78,22 @@ def enabled() -> bool:
     return _enabled
 
 
-def set_enabled(flag: bool) -> None:
-    """Turn the fast path on or off for subsequently built connections."""
-    global _enabled
-    _enabled = bool(flag)
-
-
 @contextmanager
 def exact_network(exact: bool = True) -> Iterator[None]:
-    """Scope the network path: exact per-packet when ``exact``, the fast
-    path otherwise.  The previous mode is restored on exit."""
+    """Scope this process's network path: exact per-packet when
+    ``exact``, the fast path otherwise.  The previous mode is restored
+    on exit, also when the body raises.
+
+    The mode is process state, not study config: pool workers are not
+    told about it, so the identity tests run the exact side serially.
+    """
+    global _enabled
     previous = _enabled
-    set_enabled(not exact)
+    _enabled = not exact
     try:
         yield
     finally:
-        set_enabled(previous)
+        _enabled = previous
 
 
 def attach(loop: EventLoop) -> Optional["FastEngine"]:

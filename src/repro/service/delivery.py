@@ -32,6 +32,7 @@ from repro.media.segmenter import HlsSegment, HlsSegmenter
 from repro.netsim.events import EventLoop
 from repro.protocols.hls import LiveWindow, MediaPlaylist
 from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
+from repro.protocols.mpegts import mux_segment
 from repro.protocols.rtmp import RtmpPushSession
 from repro.service.broadcast import Broadcast
 from repro.util.rng import child_rng
@@ -322,7 +323,40 @@ class RtmpDelivery:
         self.push.push_frame(frame)
 
 
-class HlsOrigin:
+class _CdnOrigin:
+    """The CDN HTTP handler both origins share: playlist requests answer
+    from ``self.window``, segment requests from ``self._segments``."""
+
+    window: LiveWindow
+    byte_fidelity: bool
+    _segments: Dict[str, HlsSegment]
+
+    def handle(self, request: HttpRequest, identity: str) -> HttpResponse:
+        """HTTP handler for the CDN edge."""
+        if request.method != "GET":
+            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "GET only"})
+        if request.path.endswith("playlist.m3u8"):
+            playlist = self.window.playlist()
+            return HttpResponse(
+                HttpStatus.OK,
+                body_bytes=playlist.nbytes,
+                payload=playlist,
+            )
+        uri = request.path.rsplit("/", 1)[-1]
+        segment = self._segments.get(uri)
+        if segment is None:
+            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "no such segment"})
+        if self.byte_fidelity:
+            data = mux_segment(segment.video_frames, segment.audio_frames)
+            return HttpResponse(HttpStatus.OK, data=data, payload=segment)
+        return HttpResponse(
+            HttpStatus.OK,
+            body_bytes=int(segment.nbytes * TS_OVERHEAD_FACTOR),
+            payload=segment,
+        )
+
+
+class HlsOrigin(_CdnOrigin):
     """Packager + CDN origin for one broadcast.
 
     Completed segments incur ``packaging_delay_s`` (repackaging and
@@ -420,42 +454,14 @@ class HlsOrigin:
         self.window.add_segment(uri, max(segment.duration_s, 0.04))
         self.segments_published += 1
 
-    # --------------------------------------------------------------- serving
 
-    def handle(self, request: HttpRequest, identity: str) -> HttpResponse:
-        """HTTP handler for the CDN edge."""
-        if request.method != "GET":
-            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "GET only"})
-        if request.path.endswith("playlist.m3u8"):
-            playlist = self.window.playlist()
-            return HttpResponse(
-                HttpStatus.OK,
-                body_bytes=playlist.nbytes,
-                payload=playlist,
-            )
-        uri = request.path.rsplit("/", 1)[-1]
-        segment = self._segments.get(uri)
-        if segment is None:
-            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "no such segment"})
-        if self.byte_fidelity:
-            from repro.protocols.mpegts import mux_segment
-
-            data = mux_segment(segment.video_frames, segment.audio_frames)
-            return HttpResponse(HttpStatus.OK, data=data, payload=segment)
-        return HttpResponse(
-            HttpStatus.OK,
-            body_bytes=int(segment.nbytes * TS_OVERHEAD_FACTOR),
-            payload=segment,
-        )
-
-
-class ReplayOrigin:
+class ReplayOrigin(_CdnOrigin):
     """Replay ("available for replay") serving: the recorded broadcast as
     an ended VOD playlist.
 
     Built by segmenting the whole recording up front — what the backend
-    does when a broadcast ends — and served by the same CDN handler
-    contract as :class:`HlsOrigin`.  Viewing a replay is the paper's
+    does when a broadcast ends — and served by the same CDN handler as
+    :class:`HlsOrigin`.  Viewing a replay is the paper's
     "Video on (not live)" state.
     """
 
@@ -472,11 +478,6 @@ class ReplayOrigin:
             raise ValueError("broadcast is not available for replay")
         self.broadcast = broadcast
         self.byte_fidelity = byte_fidelity
-        from repro.media.audio import AacEncoderModel
-        from repro.media.content import ContentProcess
-        from repro.media.encoder import EncoderSettings, VideoEncoder
-        from repro.media.segmenter import HlsSegmenter
-
         content = ContentProcess(
             broadcast.content_profile, child_rng(broadcast.seed, "content")
         )
@@ -505,27 +506,3 @@ class ReplayOrigin:
     @property
     def segment_count(self) -> int:
         return len(self._segments)
-
-    def handle(self, request: HttpRequest, identity: str) -> HttpResponse:
-        """HTTP handler: an ended playlist plus every segment."""
-        if request.method != "GET":
-            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "GET only"})
-        if request.path.endswith("playlist.m3u8"):
-            playlist = self.window.playlist()
-            return HttpResponse(HttpStatus.OK, body_bytes=playlist.nbytes,
-                                payload=playlist)
-        uri = request.path.rsplit("/", 1)[-1]
-        segment = self._segments.get(uri)
-        if segment is None:
-            return HttpResponse(HttpStatus.NOT_FOUND,
-                                json_body={"error": "no such segment"})
-        if self.byte_fidelity:
-            from repro.protocols.mpegts import mux_segment
-
-            data = mux_segment(segment.video_frames, segment.audio_frames)
-            return HttpResponse(HttpStatus.OK, data=data, payload=segment)
-        return HttpResponse(
-            HttpStatus.OK,
-            body_bytes=int(segment.nbytes * TS_OVERHEAD_FACTOR),
-            payload=segment,
-        )

@@ -7,6 +7,7 @@ different campaign directory, and cell-level parallelism must all
 reproduce the cold serial bytes exactly.
 """
 
+import json
 import os
 import pickle
 
@@ -84,6 +85,12 @@ def test_spec_round_trips_through_json():
     assert restored == SPEC
     population = CampaignSpec(kind=POPULATION, seeds=(7,), viewers=5000)
     assert CampaignSpec.from_json(population.to_json()) == population
+
+
+def test_spec_reads_a_campaign_json_with_a_retired_field():
+    payload = json.loads(SPEC.to_json())
+    payload["exact_network"] = False  # a field of older specs
+    assert CampaignSpec.from_json(json.dumps(payload)) == SPEC
 
 
 # ---------------------------------------------------------------- cold run

@@ -53,10 +53,10 @@ def _setup_for(seed: int, faulted: bool) -> SessionSetup:
 
 
 def _run(setup: SessionSetup, exact: bool):
-    if exact:
-        with fastpath.exact_network():
-            return ViewingSession(setup).run()
-    return ViewingSession(setup).run()
+    """One session's artifacts and its loop event count."""
+    with fastpath.exact_network(exact):
+        session = ViewingSession(setup)
+        return session.run(), session.loop.events_processed
 
 
 class TestSessionIdentitySweep:
@@ -65,8 +65,10 @@ class TestSessionIdentitySweep:
     @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fast_equals_exact(self, seed, faulted):
-        fast = _run(_setup_for(seed, faulted), exact=False)
-        exact = _run(_setup_for(seed, faulted), exact=True)
+        fast, fast_events = _run(_setup_for(seed, faulted), exact=False)
+        exact, exact_events = _run(_setup_for(seed, faulted), exact=True)
+        # Per-hop callbacks fire only on the exact path.
+        assert exact_events > fast_events
         assert pickle.dumps(fast.qoe) == pickle.dumps(exact.qoe)
         assert fast.total_down_bytes == exact.total_down_bytes
         assert fast.avatar_bytes == exact.avatar_bytes
@@ -151,34 +153,57 @@ def _dataset_bytes(dataset) -> tuple:
     )
 
 
-def _study_dataset(seed: int, faulted: bool, workers: int, exact: bool) -> bytes:
-    config = StudyConfig(
+class _CountingStudy(AutomatedViewingStudy):
+    """A study that keeps each serial session's event count: the exact
+    path fires one loop callback per packet per hop, so its counts show
+    which path a run took."""
+
+    def __init__(self, config: StudyConfig) -> None:
+        super().__init__(config)
+        self.events_processed = []
+
+    def run_session(self, setup):
+        session = ViewingSession(setup, ingest=self.ingest)
+        artifacts = session.run()
+        self.events_processed.append(session.loop.events_processed)
+        return artifacts
+
+
+def _study_run(seed: int, faulted: bool, workers: int):
+    """One three-session batch: its dataset fingerprint and, when it ran
+    serially, each session's loop event count."""
+    study = _CountingStudy(StudyConfig(
         seed=seed,
         watch_seconds=6.0,
         workers=workers,
-        exact_network=exact,
         faults=FaultPlan.parse(FAULT_SPEC) if faulted else None,
-    )
-    study = AutomatedViewingStudy(config)
-    return _dataset_bytes(study.run_batch(3, bandwidth_limit_mbps=2.0))
+    ))
+    dataset = study.run_batch(3, bandwidth_limit_mbps=2.0)
+    return _dataset_bytes(dataset), study.events_processed
 
 
 class TestStudyIdentityAcrossWorkers:
-    """fast == exact for whole study batches, serial and fanned out."""
+    """pooled fast == serial fast == serial exact for whole batches."""
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
     def test_workers_and_modes_agree(self, faulted):
         seed = 2016
-        reference = _study_dataset(seed, faulted, workers=1, exact=False)
-        assert _study_dataset(seed, faulted, workers=1, exact=True) == reference
+        reference, fast_events = _study_run(seed, faulted, workers=1)
+        with fastpath.exact_network():
+            exact, exact_events = _study_run(seed, faulted, workers=1)
+        assert exact == reference
+        # The exact side really ran per packet: every session fired more
+        # loop events than its fast twin.
+        assert len(exact_events) == len(fast_events) == 3
+        assert all(e > f for e, f in zip(exact_events, fast_events))
         for workers in (2, 4):
-            assert _study_dataset(seed, faulted, workers=workers,
-                                  exact=False) == reference
-        # Exact mode through the process pool exercises the worker-init
-        # plumbing (spawned/forked workers must mirror the parent's mode).
-        assert _study_dataset(seed, faulted, workers=2, exact=True) == reference
+            assert _study_run(seed, faulted, workers=workers)[0] == reference
 
-    def test_mode_switch_is_scoped_to_the_batch(self):
-        previous = fastpath.enabled()
-        _study_dataset(7, faulted=False, workers=1, exact=True)
-        assert fastpath.enabled() == previous
+
+def test_exact_network_restores_the_mode_when_its_body_raises():
+    previous = fastpath.enabled()
+    with pytest.raises(RuntimeError):
+        with fastpath.exact_network():
+            assert not fastpath.enabled()
+            raise RuntimeError("boom")
+    assert fastpath.enabled() == previous

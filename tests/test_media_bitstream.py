@@ -90,6 +90,14 @@ def test_corrupt_magic_raises():
         parse_stream(b"\x00\x01\x02")
 
 
+@pytest.mark.parametrize("code", [3, 0x41, 0xFF])
+def test_corrupt_frame_type_raises_value_error(code):
+    data = bytearray(encode_video_frame(video_frame()))
+    data[1] = code  # the byte after the magic is the frame-type code
+    with pytest.raises(ValueError, match="frame type"):
+        parse_stream(bytes(data))
+
+
 def test_trailing_garbage_detected():
     data = encode_video_frame(video_frame()) + b"\xf1\x00"  # truncated header
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.media.audio import AacEncoderModel
+from repro.media.bitstream import encode_video_frame
 from repro.media.content import CONTENT_PROFILES, ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import AudioFrame, EncodedFrame
@@ -55,6 +56,16 @@ def test_audio_roundtrip():
     audio = [AudioFrame(0, 0.1, 80), AudioFrame(1, 0.2, 85)]
     result = mpegts.demux_segment(mpegts.mux_segment([vframe()], audio))
     assert [a.nbytes for a in result.audio_frames] == [80, 85]
+
+
+def test_corrupt_frame_type_raises_value_error():
+    frame = vframe()
+    data = bytearray(mpegts.mux_segment([frame]))
+    record = data.find(encode_video_frame(frame)[:10])
+    assert record > 0
+    data[record + 1] = 0x41  # the frame-type code follows the record magic
+    with pytest.raises(ValueError, match="frame type"):
+        mpegts.demux_segment(bytes(data))
 
 
 def test_continuity_counters_clean():

@@ -91,9 +91,7 @@ class TestExpansionIdentitySweep:
         assert len(result.sampled.sessions) == len(result.world.requests)
         faults = FaultPlan.parse(FAULT_SPEC) if faulted else None
         ingest = IngestPool(child_rng(seed, "ingest-pool"))
-        previous = fastpath.enabled()
-        fastpath.set_enabled(True)
-        try:
+        with fastpath.exact_network(False):
             for index, request in enumerate(result.world.requests):
                 artifacts = ViewingSession(
                     setup_for(seed, request, faults), ingest=ingest
@@ -104,8 +102,6 @@ class TestExpansionIdentitySweep:
                         == result.sampled.avatar_bytes[index])
                 assert (artifacts.total_down_bytes
                         == result.sampled.down_bytes[index])
-        finally:
-            fastpath.set_enabled(previous)
 
 
 class TestShardAndWorkerInvariance:
@@ -137,8 +133,3 @@ class TestShardAndWorkerInvariance:
                 obs.deactivate()
         assert snapshots[2] == snapshots[1]
         assert snapshots[4] == snapshots[1]
-
-    def test_world_mode_is_scoped_to_the_run(self):
-        previous = fastpath.enabled()
-        _world(7, faulted=False, workers=1)
-        assert fastpath.enabled() == previous
