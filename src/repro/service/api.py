@@ -176,6 +176,12 @@ class ApiServer:
     # ------------------------------------------------------------- commands
 
     def _map_geo_broadcast_feed(self, body: Dict[str, Any]) -> HttpResponse:
+        """The broadcasts :meth:`ServiceWorld.query_map` finds in the
+        requested rectangle.
+
+        The map lists live broadcasts only, so the request's
+        ``include_replay`` flag is ignored.
+        """
         try:
             rect = GeoRect(
                 south=float(body["p1_lat"]),
@@ -185,10 +191,7 @@ class ApiServer:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ApiError(f"bad coordinates: {exc}") from exc
-        include_replay = bool(body.get("include_replay", False))
         broadcasts = self.world.query_map(rect)
-        if not include_replay:
-            broadcasts = [b for b in broadcasts if b.is_live_at(self.world.now)]
         return HttpResponse(
             HttpStatus.OK,
             json_body={

@@ -41,6 +41,16 @@ VIEWED_REPLAY_PROB = 0.62
 #: Chat stops accepting new senders once this many viewers joined.
 CHAT_FULL_VIEWERS = 150
 
+#: Shape parameters of the audience curve: quick ramp to a peak early
+#: in the broadcast, then slow exponential decay.
+AUDIENCE_RAMP_FRACTION = 0.15
+AUDIENCE_DECAY_RATE = 1.2
+#: Normalization of :meth:`Broadcast.viewers_at`: the integral of the
+#: curve's shape over progress ``[0, 1]``.
+_AUDIENCE_CURVE_INTEGRAL = AUDIENCE_RAMP_FRACTION / 2.0 + (
+    1.0 - AUDIENCE_RAMP_FRACTION
+) / AUDIENCE_DECAY_RATE * (1.0 - math.exp(-AUDIENCE_DECAY_RATE))
+
 
 class BroadcastState(enum.Enum):
     """Where a broadcast is in its lifecycle at a given instant."""
@@ -143,30 +153,25 @@ class Broadcast:
 
     # ----------------------------------------------------------- viewer curve
 
-    #: Shape parameters of the audience curve: quick ramp to a peak early
-    #: in the broadcast, then slow exponential decay.
-    _RAMP_FRACTION = 0.15
-    _DECAY_RATE = 1.2
-
     def viewers_at(self, t: float) -> float:
         """Instantaneous concurrent viewers at UTC time ``t``.
 
         The curve integrates (approximately) to ``mean_viewers`` over the
-        broadcast's life.
+        broadcast's life.  Zero outside ``[start_time, end_time)``, the
+        interval :meth:`is_live_at` calls live.
         """
-        if not self.is_live_at(t) or self.mean_viewers <= 0:
+        if (
+            not self.start_time <= t < self.start_time + self.duration_s
+            or self.mean_viewers <= 0
+        ):
             return 0.0
         x = (t - self.start_time) / self.duration_s  # progress in [0, 1)
-        ramp = self._RAMP_FRACTION
+        ramp = AUDIENCE_RAMP_FRACTION
         if x < ramp:
             shape = x / ramp
         else:
-            shape = math.exp(-self._DECAY_RATE * (x - ramp) / (1.0 - ramp))
-        # Normalize: integral of the shape over [0,1].
-        integral = ramp / 2.0 + (1.0 - ramp) / self._DECAY_RATE * (
-            1.0 - math.exp(-self._DECAY_RATE)
-        )
-        return self.mean_viewers * shape / integral
+            shape = math.exp(-AUDIENCE_DECAY_RATE * (x - ramp) / (1.0 - ramp))
+        return self.mean_viewers * shape / _AUDIENCE_CURVE_INTEGRAL
 
     def chat_is_full_at(self, t: float) -> bool:
         """New joiners cannot send messages once the chat filled up."""

@@ -138,10 +138,13 @@ POPULATION_CENTERS: List[PopulationCenter] = [
 ]
 
 
+#: Sum of the centers' weights, the scale of :func:`sample_location`'s pick.
+_CENTER_WEIGHT_TOTAL = sum(c.weight for c in POPULATION_CENTERS)
+
+
 def sample_location(rng: random.Random) -> Tuple[GeoPoint, PopulationCenter]:
     """Draw a broadcaster location: weighted center + gaussian scatter."""
-    total = sum(c.weight for c in POPULATION_CENTERS)
-    pick = rng.random() * total
+    pick = rng.random() * _CENTER_WEIGHT_TOTAL
     acc = 0.0
     center = POPULATION_CENTERS[-1]
     for candidate in POPULATION_CENTERS:

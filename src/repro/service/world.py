@@ -121,11 +121,11 @@ class ServiceWorld:
     #: time far more often than broadcasts end).
     RETIRE_SCAN_INTERVAL_S = 5.0
 
-    def _retire(self, t: float, force: bool = False) -> None:
+    def _retire(self, t: float) -> None:
         # End times are not monotone in arrival order (durations vary), so
         # scan the live set rather than trusting a queue order — but only
         # every few simulated seconds.
-        if not force and t - self._last_retire_scan < self.RETIRE_SCAN_INTERVAL_S:
+        if t - self._last_retire_scan < self.RETIRE_SCAN_INTERVAL_S:
             return
         self._last_retire_scan = t
         ended_now = [

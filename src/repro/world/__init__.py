@@ -29,6 +29,7 @@ from repro.world.cohorts import (
     BandwidthClass,
     Cohort,
     CohortAggregate,
+    audience_curve,
     build_cohorts,
     cohort_aggregate,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "WorldContext",
     "WorldResult",
     "apportion",
+    "audience_curve",
     "build_broadcast",
     "build_cohorts",
     "cohort_aggregate",

@@ -9,7 +9,12 @@ fluid dynamics over the broadcast's audience curve:
 * **join/leave mass** — the audience curve
   (:meth:`~repro.service.broadcast.Broadcast.viewers_at`) is integrated
   stepwise; positive increments are joins, negative ones leaves, and
-  member-seconds divided by the watch window gives the session count;
+  member-seconds divided by the watch window gives the session count.
+  The curve is sampled once per broadcaster (:func:`audience_curve`)
+  and every cohort is folded from that one sample, scaled by its share
+  of the audience — bit-identical to sampling the curve per cohort,
+  which ``tests/test_world_population.py::TestAudienceCurveOracle``
+  keeps as the reference;
 * **stall mass** — fluid starvation: at access rate ``C`` below the
   stream rate ``R``, playback advances at ``C/R`` of real time, so the
   stalled fraction of every watched second is ``1 - C/R``;
@@ -27,9 +32,9 @@ in the world keyed by broadcaster index alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.service.broadcast import Broadcast
+from repro.service.broadcast import AUDIENCE_RAMP_FRACTION, Broadcast
 from repro.service.selection import DeliveryProtocol
 from repro.util.units import MBPS
 from repro.world.popularity import apportion
@@ -134,7 +139,7 @@ def effective_stream_rate_bps(broadcast: Broadcast) -> float:
 
 def peak_viewers(broadcast: Broadcast) -> float:
     """The audience curve's maximum (reached at the end of the ramp)."""
-    ramp_end_s = broadcast.start_time + Broadcast._RAMP_FRACTION * broadcast.duration_s
+    ramp_end_s = broadcast.start_time + AUDIENCE_RAMP_FRACTION * broadcast.duration_s
     return broadcast.viewers_at(ramp_end_s)
 
 
@@ -193,35 +198,48 @@ def build_cohorts(
 AUDIENCE_CURVE_STEPS = 32
 
 
+def audience_curve(broadcast: Broadcast) -> List[float]:
+    """The broadcast's concurrent viewers at the midpoints of
+    :data:`AUDIENCE_CURVE_STEPS` equal steps over its life.
+
+    Midpoint rule keeps the integral close to ``mean * duration`` even at
+    coarse step counts.  One sample serves every cohort of the
+    broadcaster (see :func:`cohort_aggregate`).
+    """
+    dt_s = broadcast.duration_s / AUDIENCE_CURVE_STEPS
+    return [
+        broadcast.viewers_at(broadcast.start_time + (step + 0.5) * dt_s)
+        for step in range(AUDIENCE_CURVE_STEPS)
+    ]
+
+
 def cohort_aggregate(
-    broadcast: Broadcast,
-    cohort: Cohort,
-    watch_seconds: float,
-    steps: int = AUDIENCE_CURVE_STEPS,
+    cohort: Cohort, curve: Sequence[float], watch_seconds: float
 ) -> CohortAggregate:
-    """Advance one cohort over the broadcast's life in closed form."""
+    """Advance one cohort over the broadcast's life in closed form.
+
+    ``curve`` is the broadcaster's :func:`audience_curve`; the cohort
+    holds ``members / audience`` of every sample.
+    """
     if watch_seconds <= 0.0:
         raise ValueError("watch_seconds must be positive")
-    duration_s = broadcast.duration_s
     share = cohort.members / cohort.audience if cohort.audience else 0.0
-    dt_s = duration_s / steps
+    dt_s = cohort.duration_s / len(curve)
     member_seconds = 0.0
     joins = 0.0
     leaves = 0.0
     peak_members = 0.0
     previous_members = 0.0
-    for step in range(steps):
-        # Midpoint rule keeps the integral close to ``mean * duration``
-        # even at coarse step counts.
-        t_s = broadcast.start_time + (step + 0.5) * dt_s
-        members_now = share * broadcast.viewers_at(t_s)
+    for viewers in curve:
+        members_now = share * viewers
         member_seconds += members_now * dt_s
         delta = members_now - previous_members
         if delta >= 0.0:
             joins += delta
         else:
             leaves -= delta
-        peak_members = max(peak_members, members_now)
+        if members_now > peak_members:
+            peak_members = members_now
         previous_members = members_now
     leaves += previous_members  # everyone leaves when the broadcast ends
 

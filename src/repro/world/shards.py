@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.util.rng import Seedable
-from repro.world.cohorts import CohortAggregate, build_cohorts, cohort_aggregate
+from repro.world.cohorts import (
+    CohortAggregate,
+    audience_curve,
+    build_cohorts,
+    cohort_aggregate,
+)
 from repro.world.popularity import build_broadcast
 from repro.world.sampler import (
     ExpansionRequest,
@@ -138,6 +143,7 @@ def compute_shard(
         broadcast = build_broadcast(
             context.seed, index, audience, min_duration_s
         )
+        curve = audience_curve(broadcast)
         broadcaster_total = CohortAggregate()
         protocol_value = ""
         for cohort in build_cohorts(
@@ -146,7 +152,7 @@ def compute_shard(
             result.cohorts += 1
             protocol_value = cohort.protocol.value
             broadcaster_total.merge(
-                cohort_aggregate(broadcast, cohort, context.watch_seconds)
+                cohort_aggregate(cohort, curve, context.watch_seconds)
             )
             result.requests.extend(
                 plan_expansions(

@@ -54,6 +54,23 @@ class TestApiDispatch:
         assert 0 < len(broadcasts) <= world.params.map_response_cap
         assert all(len(b["id"]) == 13 for b in broadcasts)
 
+    def test_map_ignores_include_replay(self, api):
+        server, _, world = api
+        # Short of the next retire scan, so ended broadcasts still sit in
+        # the live set.
+        world.advance_to(4.0)
+        world_rect = dict(p1_lat=-90.0, p1_lng=-180.0, p2_lat=90.0,
+                          p2_lng=180.0)
+        with_replay, without_replay = (
+            server.handle(post("mapGeoBroadcastFeed", include_replay=flag,
+                               **world_rect), "u1").json_body
+            for flag in (True, False)
+        )
+        assert with_replay == without_replay
+        listed = [world.get_broadcast(b["id"])
+                  for b in with_replay["broadcasts"]]
+        assert listed and all(b.is_live_at(world.now) for b in listed)
+
     def test_map_bad_coordinates(self, api):
         server, _, _ = api
         resp = server.handle(post("mapGeoBroadcastFeed", p1_lat="x"), "u1")
