@@ -57,8 +57,8 @@ class SessionResult:
     """The slim, picklable per-session outcome a worker ships back.
 
     Exactly what :class:`~repro.core.study.StudyDataset` keeps — the
-    heavyweight :class:`SessionArtifacts` (full traffic capture, raw
-    playbackMeta) never crosses the process boundary.
+    rest of :class:`SessionArtifacts` (raw playbackMeta, chat counters)
+    never crosses the process boundary.
     """
 
     qoe: SessionQoE

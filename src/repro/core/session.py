@@ -3,8 +3,10 @@
 Reproduces the paper's adb loop for a single broadcast: tap Teleport,
 resolve the broadcast through the API, connect over the selected
 protocol, watch for exactly 60 seconds with the chat pane visible (the
-app's default), then close — while tcpdump runs on the tether and the
-app finally uploads its playbackMeta statistics.
+app's default), then close, and the app finally uploads its playbackMeta
+statistics.  The download volume is the tether download link's wire-byte
+counter; a caller that wants the tcpdump trace calls
+``session.testbed.start_capture()`` before :meth:`ViewingSession.run`.
 """
 
 from __future__ import annotations
@@ -74,11 +76,9 @@ class SessionSetup:
 
 @dataclass
 class SessionArtifacts:
-    """Raw per-session outputs beyond the QoE record (for the capture
-    pipeline and for debugging)."""
+    """Raw per-session outputs beyond the QoE record."""
 
     qoe: SessionQoE
-    capture: object
     playback_meta: dict
     chat_messages: int
     avatar_requests: int
@@ -355,13 +355,12 @@ class ViewingSession:
                 self._record_session_metrics(telemetry, report)
         return SessionArtifacts(
             qoe=qoe,
-            capture=tb.capture,
             playback_meta=playback_meta,
             chat_messages=chat_client.messages_received,
             avatar_requests=chat_client.avatar_requests,
             avatar_bytes=chat_client.avatar_bytes_received,
             duplicate_avatar_downloads=chat_client.duplicate_avatar_downloads,
-            total_down_bytes=tb.capture.total_bytes(direction="down"),
+            total_down_bytes=tb.down_link.bytes_carried,
         )
 
     # --------------------------------------------------------------- protocols

@@ -6,6 +6,12 @@ USB link to a Linux desktop with >100 Mbps of Internet access, optional
 the tether.  Servers (API frontend, media server, chat, the S3 avatar
 bucket) each sit behind their own desktop↔server path whose propagation
 delay reflects geography.
+
+The capture is on demand: a study session records no packet trace.  Its
+download volume comes from the tether download link's own wire-byte
+counter (:attr:`SessionTestbed.down_link`), and a caller that reads the
+per-packet trace asks for it with :meth:`SessionTestbed.start_capture`
+before the session runs.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ class TestbedConfig:
     access_bandwidth_bps: float = 100.0 * MBPS
     tether_delay_s: float = 0.001
     backbone_bandwidth_bps: float = 500.0 * MBPS
-    capture_payload: bool = False
     #: Optional fault scenario; link impairments are built from child
     #: streams of ``fault_seed`` over ``fault_horizon_s`` of session time.
     faults: Optional[FaultPlan] = None
@@ -68,30 +73,39 @@ class SessionTestbed:
         self.desktop = self.net.host("desktop")
         self._server_locations: Dict[str, GeoPoint] = {}
         # The tether: shaping applies desktop -> phone (download).
-        self.net.duplex(
+        tether = self.net.duplex(
             self.desktop,
             self.phone,
             rate_bps=config.access_bandwidth_bps,
             delay_s=config.tether_delay_s,
             down_shaper=config.shaper,
         )
+        #: desktop -> phone; its ``bytes_carried`` is the session's
+        #: download volume, the same total a capture's "down" side sees.
+        self.down_link = tether.a_to_b
+        self.up_link = tether.b_to_a
         # Access-link impairments: the tether is where mobile loss,
         # jitter, and flaps live (each direction draws its own stream).
         if config.faults is not None and config.faults.has_link_faults:
-            down_link = self.net.link_between(self.desktop, self.phone)
-            up_link = self.net.link_between(self.phone, self.desktop)
-            down_link.impairment = config.faults.link_impairment(
+            self.down_link.impairment = config.faults.link_impairment(
                 child_rng(config.fault_seed, "fault-link-down"),
-                config.fault_horizon_s, name=down_link.name,
+                config.fault_horizon_s, name=self.down_link.name,
             )
-            up_link.impairment = config.faults.link_impairment(
+            self.up_link.impairment = config.faults.link_impairment(
                 child_rng(config.fault_seed, "fault-link-up"),
-                config.fault_horizon_s, name=up_link.name,
+                config.fault_horizon_s, name=self.up_link.name,
             )
-        # tcpdump on the tether, both directions.
-        self.capture = TraceCapture(capture_payload=config.capture_payload)
-        self.capture.tap_link(self.net.link_between(self.desktop, self.phone), "down")
-        self.capture.tap_link(self.net.link_between(self.phone, self.desktop), "up")
+
+    def start_capture(self) -> TraceCapture:
+        """tcpdump on the tether, both directions, without payloads.
+
+        Taps only observe: the session runs the same events and reaches
+        the same results with or without a capture.
+        """
+        capture = TraceCapture(capture_payload=False)
+        capture.tap_link(self.down_link, "down")
+        capture.tap_link(self.up_link, "up")
+        return capture
 
     def add_server(self, name: str, location: GeoPoint) -> None:
         """Create a server host behind the desktop at the given location."""

@@ -75,36 +75,6 @@ class PacketRecord(NamedTuple):
     annotations: Tuple[Tuple[str, Any], ...]
     chunk: Optional[bytes] = None
 
-    @staticmethod
-    def of(
-        packet: Packet,
-        timestamp: float,
-        direction: str,
-        keep_payload: bool = True,
-    ) -> "PacketRecord":
-        """Snapshot ``packet`` as observed at ``timestamp``.
-
-        ``keep_payload=False`` drops the byte slice (a capture without
-        payloads, like ``tcpdump -s 96``)."""
-        annotations = packet.ann_items
-        if annotations is None:
-            # Keys are unique, so a plain tuple sort equals key-sorted order.
-            annotations = tuple(sorted(packet.annotations.items()))
-        return PacketRecord(
-            timestamp,
-            packet.flow_id,
-            packet.seq,
-            packet.payload_bytes,
-            packet.payload_bytes + HEADER_BYTES,
-            packet.is_ack,
-            direction,
-            packet.message_id,
-            packet.message_offset,
-            packet.message_total,
-            annotations,
-            packet.chunk if keep_payload else None,
-        )
-
     def annotation(self, key: str, default: Any = None) -> Any:
         """Look up one annotation by key."""
         for k, v in self.annotations:

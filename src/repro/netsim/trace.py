@@ -30,7 +30,6 @@ class TraceCapture:
         self.records: List[PacketRecord] = []
         self.capture_payload = capture_payload
         self._taps: List[tuple] = []
-        self.enabled = True
 
     def tap_link(self, link: Link, direction: str) -> None:
         """Start capturing packets entering ``link``."""
@@ -40,27 +39,29 @@ class TraceCapture:
         record = PacketRecord
 
         def observer(packet: Packet, timestamp: float, _direction: str = direction) -> None:
-            # Inlined PacketRecord.of: this closure runs once per packet
-            # per tapped link, the hottest capture-side call site.
-            if self.enabled:
-                annotations = packet.ann_items
-                if annotations is None:
-                    annotations = tuple(sorted(packet.annotations.items()))
-                payload = packet.payload_bytes
-                append(record(
-                    timestamp,
-                    packet.flow_id,
-                    packet.seq,
-                    payload,
-                    payload + HEADER_BYTES,
-                    packet.is_ack,
-                    _direction,
-                    packet.message_id,
-                    packet.message_offset,
-                    packet.message_total,
-                    annotations,
-                    packet.chunk if keep_payload else None,
-                ))
+            # Snapshot the packet as observed at ``timestamp``.  This
+            # closure runs once per packet per tapped link, so it builds
+            # the record directly instead of going through a helper.
+            annotations = packet.ann_items
+            if annotations is None:
+                # Keys are unique, so a plain tuple sort equals
+                # key-sorted order.
+                annotations = tuple(sorted(packet.annotations.items()))
+            payload = packet.payload_bytes
+            append(record(
+                timestamp,
+                packet.flow_id,
+                packet.seq,
+                payload,
+                payload + HEADER_BYTES,
+                packet.is_ack,
+                _direction,
+                packet.message_id,
+                packet.message_offset,
+                packet.message_total,
+                annotations,
+                packet.chunk if keep_payload else None,
+            ))
 
         link.tap(observer)
         self._taps.append((link, observer))
@@ -70,13 +71,6 @@ class TraceCapture:
         for link, observer in self._taps:
             link.untap(observer)
         self._taps.clear()
-
-    def pause(self) -> None:
-        """Temporarily stop recording without detaching."""
-        self.enabled = False
-
-    def resume(self) -> None:
-        self.enabled = True
 
     # ------------------------------------------------------------- queries
 

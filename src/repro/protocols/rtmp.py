@@ -101,6 +101,20 @@ def chunk_message(message: RtmpMessage, chunk_size: int = DEFAULT_CHUNK_SIZE) ->
     return b"".join(parts)
 
 
+def _parse_chunk_size(payload: bytes) -> int:
+    """The chunk size a Set Chunk Size message announces.
+
+    RTMP spec §5.4.1: a 4-byte big-endian value whose top bit is zero,
+    and a chunk size of at least 1.
+    """
+    if len(payload) != 4:
+        raise ValueError(f"Set Chunk Size payload is {len(payload)} bytes, not 4")
+    size = struct.unpack(">I", payload)[0]
+    if size & 0x80000000 or size < 1:
+        raise ValueError(f"Set Chunk Size value {size:#x} out of range")
+    return size
+
+
 class ChunkParser:
     """Incremental RTMP chunk-stream parser.
 
@@ -124,47 +138,52 @@ class ChunkParser:
             if message is None:
                 break
             if message.msg_type == RtmpMessageType.SET_CHUNK_SIZE:
-                self.chunk_size = struct.unpack(">I", message.payload)[0]
+                self.chunk_size = _parse_chunk_size(message.payload)
             done.append(message)
         self.messages.extend(done)
         return done
 
     def _try_parse(self) -> Optional[RtmpMessage]:
-        if not self._buffer:
-            return None
-        fmt = self._buffer[0] >> 6
-        csid = self._buffer[0] & 0x3F
-        if fmt == 0:
-            if len(self._buffer) < 12:
-                return None
-            ts = int.from_bytes(self._buffer[1:4], "big")
-            length = int.from_bytes(self._buffer[4:7], "big")
-            msg_type = RtmpMessageType(self._buffer[7])
-            stream_id = struct.unpack("<I", bytes(self._buffer[8:12]))[0]
-            take = min(self.chunk_size, length)
-            if len(self._buffer) < 12 + take:
-                return None
-            payload = bytearray(self._buffer[12 : 12 + take])
-            del self._buffer[: 12 + take]
-            if len(payload) == length:
-                return RtmpMessage(msg_type, ts, bytes(payload), stream_id, csid)
-            self._partial[csid] = (msg_type, ts, stream_id, length, payload)
-            return self._try_parse()
-        if fmt == 3:
-            state = self._partial.get(csid)
-            if state is None:
-                raise ValueError(f"format-3 chunk for unknown stream {csid}")
-            msg_type, ts, stream_id, length, payload = state
-            take = min(self.chunk_size, length - len(payload))
-            if len(self._buffer) < 1 + take:
-                return None
-            payload.extend(self._buffer[1 : 1 + take])
-            del self._buffer[: 1 + take]
-            if len(payload) == length:
-                del self._partial[csid]
-                return RtmpMessage(msg_type, ts, bytes(payload), stream_id, csid)
-            return self._try_parse()
-        raise ValueError(f"chunk format {fmt} not supported (only 0 and 3)")
+        """Consume chunks until one completes a message.
+
+        Returns None once the buffer holds no complete chunk.  A loop,
+        not recursion: one message may span any number of chunks.
+        """
+        buffer = self._buffer
+        while buffer:
+            fmt = buffer[0] >> 6
+            csid = buffer[0] & 0x3F
+            if fmt == 0:
+                if len(buffer) < 12:
+                    return None
+                ts = int.from_bytes(buffer[1:4], "big")
+                length = int.from_bytes(buffer[4:7], "big")
+                msg_type = RtmpMessageType(buffer[7])
+                stream_id = struct.unpack("<I", bytes(buffer[8:12]))[0]
+                take = min(self.chunk_size, length)
+                if len(buffer) < 12 + take:
+                    return None
+                payload = bytearray(buffer[12 : 12 + take])
+                del buffer[: 12 + take]
+                if len(payload) == length:
+                    return RtmpMessage(msg_type, ts, bytes(payload), stream_id, csid)
+                self._partial[csid] = (msg_type, ts, stream_id, length, payload)
+            elif fmt == 3:
+                state = self._partial.get(csid)
+                if state is None:
+                    raise ValueError(f"format-3 chunk for unknown stream {csid}")
+                msg_type, ts, stream_id, length, payload = state
+                take = min(self.chunk_size, length - len(payload))
+                if len(buffer) < 1 + take:
+                    return None
+                payload.extend(buffer[1 : 1 + take])
+                del buffer[: 1 + take]
+                if len(payload) == length:
+                    del self._partial[csid]
+                    return RtmpMessage(msg_type, ts, bytes(payload), stream_id, csid)
+            else:
+                raise ValueError(f"chunk format {fmt} not supported (only 0 and 3)")
+        return None
 
     @property
     def pending_bytes(self) -> int:

@@ -18,7 +18,7 @@ from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import EncodedFrame
 from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
 from repro.service.selection import DeliveryProtocol
-from tests.test_core_session import make_broadcast, run_session
+from tests.test_core_session import make_broadcast, run_captured, session_setup
 
 
 class TestMitmProxy:
@@ -75,33 +75,39 @@ class TestMitmProxy:
 
 
 @pytest.fixture(scope="module")
-def rtmp_artifacts():
-    return run_session(watch=20.0, seed=31)
+def rtmp_session():
+    """``(artifacts, capture)`` of one RTMP session."""
+    return run_captured(session_setup(watch=20.0, seed=31))
 
 
 @pytest.fixture(scope="module")
-def hls_artifacts():
-    return run_session(protocol=DeliveryProtocol.HLS, viewers=300.0,
-                       watch=25.0, seed=32)
+def rtmp_capture(rtmp_session):
+    return rtmp_session[1]
+
+
+@pytest.fixture(scope="module")
+def hls_capture():
+    return run_captured(session_setup(protocol=DeliveryProtocol.HLS,
+                                      viewers=300.0, watch=25.0, seed=32))[1]
 
 
 class TestReconstruction:
-    def test_reassembles_flows(self, rtmp_artifacts):
-        streams = reassemble_flows(rtmp_artifacts.capture)
+    def test_reassembles_flows(self, rtmp_capture):
+        streams = reassemble_flows(rtmp_capture)
         assert streams
         down = [s for s in streams.values() if s.direction == "down"]
         assert down
         assert all(s.total_payload_bytes > 0 for s in down)
 
-    def test_classify_flows(self, rtmp_artifacts):
-        streams = reassemble_flows(rtmp_artifacts.capture)
+    def test_classify_flows(self, rtmp_capture):
+        streams = reassemble_flows(rtmp_capture)
         buckets = classify_flows(streams)
         assert buckets["rtmp"]
         assert buckets["http"]      # API + avatar traffic
         assert buckets["websocket"]  # chat
 
-    def test_extract_rtmp_frames(self, rtmp_artifacts):
-        streams = reassemble_flows(rtmp_artifacts.capture)
+    def test_extract_rtmp_frames(self, rtmp_capture):
+        streams = reassemble_flows(rtmp_capture)
         media = [
             s for s in streams.values()
             if s.direction == "down"
@@ -115,8 +121,8 @@ class TestReconstruction:
         times = [t for t, _ in frames]
         assert times == sorted(times)
 
-    def test_extract_hls_segments(self, hls_artifacts):
-        streams = reassemble_flows(hls_artifacts.capture)
+    def test_extract_hls_segments(self, hls_capture):
+        streams = reassemble_flows(hls_capture)
         all_segments = []
         for stream in streams.values():
             if stream.direction == "down":
@@ -125,8 +131,8 @@ class TestReconstruction:
         for _, segment in all_segments:
             assert segment.video_frames
 
-    def test_capture_rate_accounting(self, rtmp_artifacts):
-        streams = reassemble_flows(rtmp_artifacts.capture)
+    def test_capture_rate_accounting(self, rtmp_capture):
+        streams = reassemble_flows(rtmp_capture)
         rtmp = classify_flows(streams)["rtmp"]
         rate = max(s.average_rate_bps() for s in rtmp)
         assert 100_000 < rate < 2_000_000  # a plausible video stream
@@ -188,9 +194,10 @@ class TestInspector:
         assert report.n_audio_frames == len(audio)
 
 
-def test_cross_validation_capture_vs_player(rtmp_artifacts):
+def test_cross_validation_capture_vs_player(rtmp_session):
     """The capture pipeline and the player must agree on media facts."""
-    streams = reassemble_flows(rtmp_artifacts.capture)
+    artifacts, capture = rtmp_session
+    streams = reassemble_flows(capture)
     media = max(
         (s for s in streams.values() if s.direction == "down"),
         key=lambda s: s.total_payload_bytes,
@@ -198,6 +205,6 @@ def test_cross_validation_capture_vs_player(rtmp_artifacts):
     frames = extract_rtmp_frames(media)
     video = [f for _, f in frames if isinstance(f, EncodedFrame)]
     report = inspect_frames(video)
-    qoe = rtmp_artifacts.qoe
+    qoe = artifacts.qoe
     assert report.video_bitrate_bps == pytest.approx(qoe.video_bitrate_bps, rel=0.05)
     assert report.average_qp == pytest.approx(qoe.avg_qp, abs=1.0)

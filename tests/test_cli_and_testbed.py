@@ -95,5 +95,8 @@ class TestSessionTestbed:
 
     def test_capture_taps_both_directions(self):
         loop, tb = self.make()
-        directions = {r for r in ("down", "up")}
-        assert len(tb.capture._taps) == 2
+        assert tb.down_link._taps == [] and tb.up_link._taps == []
+        capture = tb.start_capture()
+        assert len(tb.down_link._taps) == len(tb.up_link._taps) == 1
+        assert {link.name for link, _ in capture._taps} == {
+            "desktop->phone", "phone->desktop"}

@@ -1,5 +1,6 @@
 """Integration tests: full viewing sessions over the simulated testbed."""
 
+import pickle
 import random
 
 import pytest
@@ -19,10 +20,10 @@ def make_broadcast(seed=5, mean_viewers=12.0, duration=7200.0):
     return b
 
 
-def run_session(protocol=DeliveryProtocol.RTMP, limit=100.0, watch=30.0,
-                viewers=12.0, chat_ui_on=True, cache_avatars=False, seed=5,
-                device=GALAXY_S4):
-    setup = SessionSetup(
+def session_setup(protocol=DeliveryProtocol.RTMP, limit=100.0, watch=30.0,
+                  viewers=12.0, chat_ui_on=True, cache_avatars=False, seed=5,
+                  device=GALAXY_S4):
+    return SessionSetup(
         broadcast=make_broadcast(seed=seed, mean_viewers=viewers),
         age_at_join=600.0,
         protocol=protocol,
@@ -33,7 +34,17 @@ def run_session(protocol=DeliveryProtocol.RTMP, limit=100.0, watch=30.0,
         cache_avatars=cache_avatars,
         seed=seed,
     )
-    return ViewingSession(setup).run()
+
+
+def run_session(**kwargs):
+    return ViewingSession(session_setup(**kwargs)).run()
+
+
+def run_captured(setup):
+    """Run ``setup`` with the tether capture on: ``(artifacts, capture)``."""
+    session = ViewingSession(setup)
+    capture = session.testbed.start_capture()
+    return session.run(), capture
 
 
 class TestRtmpSession:
@@ -139,6 +150,24 @@ class TestDeterminism:
 
 
 def test_capture_recorded_traffic():
-    artifacts = run_session()
-    assert artifacts.capture.total_bytes(direction="down") > 500_000
-    assert artifacts.capture.total_bytes(direction="up") > 1_000
+    _, capture = run_captured(session_setup())
+    assert capture.total_bytes(direction="down") > 500_000
+    assert capture.total_bytes(direction="up") > 1_000
+
+
+def test_capture_only_observes():
+    """A capture adds taps, never events: the same setup runs to the same
+    results and the same loop event count with and without one."""
+    def run(capture: bool):
+        session = ViewingSession(session_setup(viewers=200.0, watch=10.0,
+                                               seed=11))
+        trace = session.testbed.start_capture() if capture else None
+        artifacts = session.run()
+        return (pickle.dumps(artifacts.qoe), artifacts.avatar_bytes,
+                artifacts.total_down_bytes,
+                session.loop.events_processed), trace
+
+    plain, _ = run(capture=False)
+    captured, trace = run(capture=True)
+    assert len(trace) > 0 and plain[1] > 0
+    assert captured == plain

@@ -53,10 +53,12 @@ def _setup_for(seed: int, faulted: bool) -> SessionSetup:
 
 
 def _run(setup: SessionSetup, exact: bool):
-    """One session's artifacts and its loop event count."""
+    """One session's artifacts, its loop event count and its tether
+    capture."""
     with fastpath.exact_network(exact):
         session = ViewingSession(setup)
-        return session.run(), session.loop.events_processed
+        capture = session.testbed.start_capture()
+        return session.run(), session.loop.events_processed, capture
 
 
 class TestSessionIdentitySweep:
@@ -65,18 +67,22 @@ class TestSessionIdentitySweep:
     @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fast_equals_exact(self, seed, faulted):
-        fast, fast_events = _run(_setup_for(seed, faulted), exact=False)
-        exact, exact_events = _run(_setup_for(seed, faulted), exact=True)
+        fast, fast_events, fast_capture = _run(_setup_for(seed, faulted),
+                                               exact=False)
+        exact, exact_events, exact_capture = _run(_setup_for(seed, faulted),
+                                                  exact=True)
         # Per-hop callbacks fire only on the exact path.
         assert exact_events > fast_events
         assert pickle.dumps(fast.qoe) == pickle.dumps(exact.qoe)
         assert fast.total_down_bytes == exact.total_down_bytes
         assert fast.avatar_bytes == exact.avatar_bytes
         assert fast.chat_messages == exact.chat_messages
+        # The download counter is the capture's down total on both paths.
+        assert fast.total_down_bytes == fast_capture.total_bytes(direction="down")
+        assert exact.total_down_bytes == exact_capture.total_bytes(direction="down")
         # Stronger than results: the packet traces themselves agree
         # line-for-line (timestamps, order, sizes, annotations).
-        assert (_canonical_trace(fast.capture)
-                == _canonical_trace(exact.capture))
+        assert _canonical_trace(fast_capture) == _canonical_trace(exact_capture)
 
 
 def _tied_flows(exact: bool):

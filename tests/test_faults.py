@@ -30,7 +30,7 @@ from repro.service.selection import DeliveryProtocol
 from repro.util.rng import child_rng
 from repro.util.units import MBPS
 
-from test_core_session import make_broadcast
+from test_core_session import make_broadcast, run_captured
 
 
 # ----------------------------------------------------------- retry policy
@@ -233,11 +233,11 @@ FULL_PLAN = FaultPlan.parse(
 )
 
 
-def run_faulted_session(protocol=DeliveryProtocol.RTMP, plan=FULL_PLAN,
-                        seed=5, watch=30.0, limit=100.0):
+def faulted_setup(protocol=DeliveryProtocol.RTMP, plan=FULL_PLAN,
+                  seed=5, watch=30.0, limit=100.0):
     from repro.automation.devices import GALAXY_S4
 
-    setup = SessionSetup(
+    return SessionSetup(
         broadcast=make_broadcast(seed=seed),
         age_at_join=600.0,
         protocol=protocol,
@@ -247,7 +247,10 @@ def run_faulted_session(protocol=DeliveryProtocol.RTMP, plan=FULL_PLAN,
         seed=seed,
         faults=plan,
     )
-    return ViewingSession(setup).run()
+
+
+def run_faulted_session(**kwargs):
+    return ViewingSession(faulted_setup(**kwargs)).run()
 
 
 class TestFaultedSessions:
@@ -303,17 +306,17 @@ def run_session_pickle(plan):
 
 class TestFaultedDeterminism:
     def test_faulted_session_bit_identical_across_runs(self):
-        first = run_faulted_session(seed=7)
-        second = run_faulted_session(seed=7)
-        assert pickle.dumps(first.qoe) == pickle.dumps(second.qoe)
-        first_trace = [
-            (r.timestamp, r.seq, r.payload_bytes, r.is_ack, r.direction)
-            for r in first.capture.records
-        ]
-        second_trace = [
-            (r.timestamp, r.seq, r.payload_bytes, r.is_ack, r.direction)
-            for r in second.capture.records
-        ]
+        def run():
+            artifacts, capture = run_captured(faulted_setup(seed=7))
+            trace = [
+                (r.timestamp, r.seq, r.payload_bytes, r.is_ack, r.direction)
+                for r in capture.records
+            ]
+            return pickle.dumps(artifacts.qoe), trace
+
+        first_qoe, first_trace = run()
+        second_qoe, second_trace = run()
+        assert first_qoe == second_qoe
         assert first_trace == second_trace
 
     def test_faulted_study_bit_identical_across_runs(self):

@@ -70,25 +70,6 @@ def test_filter_and_annotations(captured):
     assert tagged[0].annotation("missing", "default") == "default"
 
 
-def test_pause_resume():
-    loop = EventLoop()
-    net = Network(loop)
-    a, b = net.host("a"), net.host("b")
-    net.duplex(a, b, rate_bps=10 * MBPS, delay_s=0.0)
-    capture = TraceCapture()
-    capture.tap_link(net.link_between(a, b), "down")
-    fwd, rev = net.duplex_paths("a", "b")
-    conn = Connection(loop, fwd, rev)
-    capture.pause()
-    conn.send(Message(payload=None, nbytes=100))
-    loop.run()
-    assert len(capture) == 0
-    capture.resume()
-    conn.send(Message(payload=None, nbytes=100))
-    loop.run()
-    assert len(capture) > 0
-
-
 def test_stop_detaches():
     loop = EventLoop()
     net = Network(loop)

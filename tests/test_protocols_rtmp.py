@@ -83,6 +83,41 @@ class TestChunking:
         assert len(out) == 2
         assert out[1].payload == b"q" * 300
 
+    def test_many_chunk_message_parses_in_one_feed(self):
+        # 1,563 chunks at the spec's default chunk size of 128.
+        payload = (bytes(range(256)) * 782)[:200_000]
+        msg = rtmp.RtmpMessage(rtmp.RtmpMessageType.VIDEO, 0, payload)
+        parser = rtmp.ChunkParser(chunk_size=128)
+        out = parser.feed(rtmp.chunk_message(msg, chunk_size=128))
+        assert [m.payload for m in out] == [payload]
+        assert parser.pending_bytes == 0
+
+    def test_short_set_chunk_size_rejected(self):
+        set_size = rtmp.RtmpMessage(
+            rtmp.RtmpMessageType.SET_CHUNK_SIZE, 0, b"\x00\x80",
+            chunk_stream_id=2,
+        )
+        parser = rtmp.ChunkParser()
+        with pytest.raises(ValueError):
+            parser.feed(rtmp.chunk_message(set_size))
+
+    @pytest.mark.parametrize("size", [0, 0x80000000])
+    def test_out_of_range_set_chunk_size_rejected(self, size):
+        import struct
+
+        set_size = rtmp.RtmpMessage(
+            rtmp.RtmpMessageType.SET_CHUNK_SIZE, 0, struct.pack(">I", size),
+            chunk_stream_id=2,
+        )
+        follow = rtmp.RtmpMessage(rtmp.RtmpMessageType.VIDEO, 0, b"q" * 3000)
+        # A message header, then bare continuation headers: empty chunks
+        # to a parser that accepted a chunk size of 0.
+        empty_chunks = (rtmp.chunk_message(follow)[:12]
+                        + bytes([(3 << 6) | follow.chunk_stream_id]) * 2000)
+        parser = rtmp.ChunkParser()
+        with pytest.raises(ValueError):
+            parser.feed(rtmp.chunk_message(set_size) + empty_chunks)
+
     def test_unknown_format3_rejected(self):
         parser = rtmp.ChunkParser()
         with pytest.raises(ValueError):

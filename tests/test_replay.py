@@ -100,12 +100,13 @@ GOLDEN_FAULTS = "loss=0.02,jitter=0.005,flap=0.01:0.5:2,ingest=0.03:1:2,api5xx=0
 
 
 def _run_golden_session():
+    """Run the golden faulted session; returns its tether capture."""
     from repro.automation.devices import GALAXY_S4
-    from repro.core.session import SessionSetup, ViewingSession
+    from repro.core.session import SessionSetup
     from repro.faults import FaultPlan
     from repro.service.selection import DeliveryProtocol
 
-    from test_core_session import make_broadcast
+    from test_core_session import make_broadcast, run_captured
 
     setup = SessionSetup(
         broadcast=make_broadcast(seed=GOLDEN_SEED),
@@ -116,7 +117,7 @@ def _run_golden_session():
         seed=GOLDEN_SEED,
         faults=FaultPlan.parse(GOLDEN_FAULTS),
     )
-    return ViewingSession(setup).run()
+    return run_captured(setup)[1]
 
 
 def _canonical_trace(capture):
@@ -176,10 +177,10 @@ def test_golden_faulted_trace_replays_byte_exact(network_path):
     expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     if network_path == "exact":
         with fastpath.exact_network():
-            artifacts = _run_golden_session()
+            capture = _run_golden_session()
     else:
-        artifacts = _run_golden_session()
-    summary = _trace_summary(_canonical_trace(artifacts.capture))
+        capture = _run_golden_session()
+    summary = _trace_summary(_canonical_trace(capture))
     assert summary["packet_count"] == expected["packet_count"]
     assert summary["head"] == expected["head"]
     assert summary["tail"] == expected["tail"]
@@ -188,7 +189,7 @@ def test_golden_faulted_trace_replays_byte_exact(network_path):
 
 if __name__ == "__main__":  # regenerate the golden fixture
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    regenerated = _trace_summary(_canonical_trace(_run_golden_session().capture))
+    regenerated = _trace_summary(_canonical_trace(_run_golden_session()))
     GOLDEN_PATH.write_text(json.dumps(regenerated, indent=2) + "\n",
                            encoding="utf-8")
     print(f"wrote {GOLDEN_PATH} ({regenerated['packet_count']} packets, "
