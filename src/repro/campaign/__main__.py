@@ -32,6 +32,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import POPULATION, SWEEP, CampaignSpec
 from repro.campaign.store import CampaignStore, StoreLockedError
+from repro.obs.export import health_verdict
 from repro.util.tables import render_table
 
 
@@ -192,6 +193,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{summary.corrupt_recomputed} recomputed after corruption)")
     if summary.journal_torn:
         print("note: a torn journal tail was truncated on resume")
+    if summary.health is not None:
+        print(health_verdict(summary.health))
     for name in sorted(summary.artifacts):
         print(f"  {name}: {summary.artifacts[name]}")
     return 0

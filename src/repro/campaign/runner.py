@@ -16,10 +16,11 @@ A campaign run is a fixpoint computation over the store:
 4. **Finalize**: decode every planned blob in plan order and write the
    merged artifacts — ``dataset.pkl`` (the campaign dataset),
    ``metrics.prom`` / ``metrics.json`` (cell registries folded in plan
-   order).  Because inputs and fold order are identical whether a cell
-   was computed now, in a previous crashed run, or served from cache,
-   the artifact bytes equal a cold serial run's — the property the
-   kill/resume suite enforces.
+   order) and, when the spec has health on, ``health.txt`` (the cells'
+   invariant monitors folded the same way).  Because inputs and fold
+   order are identical whether a cell was computed now, in a previous
+   crashed run, or served from cache, the artifact bytes equal a cold
+   serial run's — the property the kill/resume suite enforces.
 
 Progress is surfaced Prometheus-style: ``progress.prom`` in the
 campaign directory is atomically rewritten after every completed cell
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.cells import (
     BLOB_PICKLE_PROTOCOL,
@@ -49,13 +50,14 @@ from repro.campaign.store import (
     JournalScan,
 )
 from repro.core.parallel import run_tasks
-from repro.obs import MetricsRegistry
-from repro.obs.export import render_metrics
+from repro.obs import HealthMonitor, MetricsRegistry, Telemetry
+from repro.obs.export import render_health, render_metrics
 
 SPEC_NAME = "campaign.json"
 DATASET_NAME = "dataset.pkl"
 METRICS_PROM_NAME = "metrics.prom"
 METRICS_JSON_NAME = "metrics.json"
+HEALTH_NAME = "health.txt"
 PROGRESS_NAME = "progress.prom"
 
 MEMOIZED = "memoized"
@@ -94,6 +96,8 @@ class CampaignSummary:
     journal_damaged: int = 0
     journal_torn: bool = False
     artifacts: Dict[str, str] = field(default_factory=dict)
+    #: The cells' invariant monitors folded in plan order (health on only).
+    health: Optional[HealthMonitor] = None
 
 
 class CampaignRunner:
@@ -204,7 +208,7 @@ class CampaignRunner:
                     pending[index][0], pending[index][1], blob, summary
                 ),
             )
-            summary.artifacts = self._finalize()
+            self._finalize(summary)
             self.store.append_record({
                 "kind": RECORD_CHECKPOINT,
                 "completed": len(self._completed_keys),
@@ -243,10 +247,10 @@ class CampaignRunner:
 
     # -------------------------------------------------------------- finalize
 
-    def _finalize(self) -> Dict[str, str]:
+    def _finalize(self, summary: CampaignSummary) -> None:
         """Decode every planned blob in plan order; write merged artifacts."""
         completed = self.store.completed_cells()
-        merged = MetricsRegistry()
+        merged = Telemetry(metrics=False, tracing=False, profiling=False)
         cells_out: List[dict] = []
         for key, cell in self.plan():
             result: CellResult = decode_result(
@@ -262,7 +266,7 @@ class CampaignRunner:
                 "dataset": result.dataset,
                 "totals": result.totals,
             })
-            merged.merge_from(result.snapshots["metrics"])
+            merged.merge(result.snapshots)
         dataset_payload = {
             "schema_version": 1,
             "kind": self.spec.kind,
@@ -274,13 +278,19 @@ class CampaignRunner:
                 pickle.dumps(dataset_payload, protocol=BLOB_PICKLE_PROTOCOL),
             ),
             "metrics_prom": self.store.write_artifact(
-                METRICS_PROM_NAME, render_metrics(merged).encode("utf-8")
+                METRICS_PROM_NAME,
+                render_metrics(merged.metrics).encode("utf-8"),
             ),
             "metrics_json": self.store.write_artifact(
-                METRICS_JSON_NAME, _snapshot_json(merged)
+                METRICS_JSON_NAME, _snapshot_json(merged.metrics)
             ),
         }
-        return artifacts
+        if self.spec.health_enabled:
+            artifacts["health"] = self.store.write_artifact(
+                HEALTH_NAME, (render_health(merged) + "\n").encode("utf-8")
+            )
+            summary.health = merged.health
+        summary.artifacts = artifacts
 
     # -------------------------------------------------------------- progress
 

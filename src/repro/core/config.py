@@ -86,9 +86,11 @@ class StudyConfig:
 
     # --------------------------------------------------------------- telemetry
     #: Opt-in observability (see :mod:`repro.obs`).  Both default off;
-    #: enabling them never changes simulation results — metrics, spans,
-    #: and the event-loop profile observe without consuming RNG or
-    #: reordering events (guarded by a determinism regression test).
+    #: enabling them never changes simulation results — metrics and
+    #: spans observe without consuming RNG or reordering events (guarded
+    #: by a determinism regression test).  Neither turns on the
+    #: wall-clock event-loop profiler; the experiments CLI does that
+    #: under ``--metrics``.
     metrics_enabled: bool = False
     tracing_enabled: bool = False
     #: Stall forensics: per-cause delay attribution and online invariant

@@ -45,8 +45,9 @@ class Workbench:
                                   causes_enabled=causes,
                                   health_enabled=health,
                                   workers=workers, faults=faults)
-        #: Activate telemetry up front so loops built by crawls (which do
-        #: not go through AutomatedViewingStudy) are profiled too.
+        #: Activate telemetry up front so crawls (which do not go through
+        #: AutomatedViewingStudy) record into it too.  This never turns
+        #: the event-loop profiler on; the CLI does that under --metrics.
         self.telemetry = obs.ensure_active(metrics=metrics, tracing=tracing,
                                            causes=causes, health=health)
         self.seed = seed

@@ -76,6 +76,16 @@ class Link:
         #: end and the deferred start, yet ``_busy_until`` spans the gap.
         #: Gaps wholly in the past are pruned as they expire.
         self._gaps: Deque[Tuple[float, float]] = deque()
+        #: Running sum of the gap lengths in ``_gaps``, so pending work
+        #: is O(1) however many deferrals are queued.
+        self._gap_total = 0.0
+        #: The registry this link's per-packet series were resolved in;
+        #: a link that outlives a telemetry scope re-resolves them in the
+        #: next one.
+        self._instrumented: Optional[obs.MetricsRegistry] = None
+        self._packets_total: Optional[obs.Counter] = None
+        self._bytes_total: Optional[obs.Counter] = None
+        self._queue_delay: Optional[obs.Histogram] = None
         self._taps: List[PacketTap] = []
         self.bytes_carried = 0
         self.packets_carried = 0
@@ -95,20 +105,36 @@ class Link:
         shaper or flap/jitter deferral pushes ``_busy_until`` out without
         the transmitter doing work over the gap, so the horizon alone
         overstates pending work.
+
+        The gaps are disjoint, sorted, and each ends at or before the
+        horizon: a gap opens no earlier than the horizon at its packet's
+        admission, closes where that packet starts, and the horizon never
+        moves back.  So once the expired gaps are popped, every remaining
+        one lies wholly in ``[now, busy)`` except for the part of the
+        first one already behind ``now``, and ``_gap_total`` less that
+        part is the idle time still ahead.
         """
         pending = self._busy_until - now
         gaps = self._gaps
         if pending <= 0.0:
             if gaps:
                 gaps.clear()
+                self._gap_total = 0.0
             return 0.0
-        while gaps and gaps[0][1] <= now:
-            gaps.popleft()
-        for gap_start, gap_end in gaps:
-            overlap = min(gap_end, self._busy_until) - max(gap_start, now)
-            if overlap > 0.0:
-                pending -= overlap
-        return max(0.0, pending)
+        if not gaps:
+            return pending
+        while gaps[0][1] <= now:
+            gap_start, gap_end = gaps.popleft()
+            if not gaps:
+                self._gap_total = 0.0
+                return pending
+            self._gap_total -= gap_end - gap_start
+        idle = self._gap_total
+        first_start = gaps[0][0]
+        if first_start < now:
+            idle -= now - first_start
+        pending -= idle
+        return pending if pending > 0.0 else 0.0
 
     def utilization_until_now(self) -> float:
         """Fraction of elapsed time the transmitter has been busy.
@@ -193,6 +219,7 @@ class Link:
             # across the gap stays charged to throttle/flap/jitter (it
             # was, above) rather than re-charged to link.queue.
             self._gaps.append((eligible, start))
+            self._gap_total += start - eligible
             if self._queue_charged_until < start:
                 self._queue_charged_until = start
         busy = start + tx_time
@@ -222,24 +249,19 @@ class Link:
                 self._recovery_backlog_s += recovery_wait
         if telemetry.health_on and now > 0.0:
             completed = self._busy_time_scheduled - self._pending_tx_time(now)
+            ok = completed <= now + 1e-9
             telemetry.health.check(
-                "link.utilization_bounded", completed <= now + 1e-9,
+                "link.utilization_bounded", ok,
+                "" if ok else
                 f"{self.name}: {completed:.3f}s busy in {now:.3f}s elapsed",
             )
         if telemetry.metrics_on:
             metrics = telemetry.metrics
-            metrics.counter(
-                "netsim_link_packets_total", "Packets entering the link",
-                link=self.name,
-            ).inc()
-            metrics.counter(
-                "netsim_link_bytes_total", "Wire bytes entering the link",
-                link=self.name,
-            ).inc(wire_bytes)
-            metrics.histogram(
-                "netsim_link_queue_delay_seconds",
-                "Serialization-queue wait per packet", link=self.name,
-            ).observe(queue_wait)
+            if self._instrumented is not metrics:
+                self._resolve_instruments(metrics)
+            self._packets_total.inc()
+            self._bytes_total.inc(wire_bytes)
+            self._queue_delay.observe(queue_wait)
             if throttle_wait > 0.0:
                 metrics.counter(
                     "netsim_link_throttle_seconds_total",
@@ -252,6 +274,22 @@ class Link:
                     link=self.name,
                 ).inc(impair_wait)
         return arrival
+
+    def _resolve_instruments(self, metrics: obs.MetricsRegistry) -> None:
+        """Look up this link's per-packet series in ``metrics`` once."""
+        self._instrumented = metrics
+        self._packets_total = metrics.counter(
+            "netsim_link_packets_total", "Packets entering the link",
+            link=self.name,
+        )
+        self._bytes_total = metrics.counter(
+            "netsim_link_bytes_total", "Wire bytes entering the link",
+            link=self.name,
+        )
+        self._queue_delay = metrics.histogram(
+            "netsim_link_queue_delay_seconds",
+            "Serialization-queue wait per packet", link=self.name,
+        )
 
     def _arrive(self, packet: Packet) -> None:
         if self.deliver is None:

@@ -177,25 +177,22 @@ def deactivate() -> None:
 def ensure_active(
     metrics: bool = False,
     tracing: bool = False,
-    profiling: Optional[bool] = None,
     causes: bool = False,
     health: bool = False,
 ) -> Telemetry:
     """Activate telemetry if any flag asks for it and none is active yet.
 
     This is how :class:`~repro.core.config.StudyConfig` opt-in flags take
-    effect without every constructor threading a telemetry handle.
+    effect without every constructor threading a telemetry handle.  It
+    never installs the wall-clock event-loop profiler: that is switched
+    on only by activating a :class:`Telemetry` with ``profiling=True``
+    (the experiments CLI does so under ``--metrics``).
     """
     if not (metrics or tracing or causes or health):
         return _active
     if not _active.enabled:
-        activate(Telemetry(
-            metrics=metrics,
-            tracing=tracing,
-            profiling=metrics if profiling is None else profiling,
-            causes=causes,
-            health=health,
-        ))
+        activate(Telemetry(metrics=metrics, tracing=tracing, profiling=False,
+                           causes=causes, health=health))
     return _active
 
 

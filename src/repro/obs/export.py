@@ -16,7 +16,7 @@ import math
 from typing import IO, Dict, List, Sequence
 
 from repro.util.tables import render_table
-from repro.obs import Telemetry
+from repro.obs import HealthMonitor, Telemetry
 from repro.obs.causes import KIND_JOIN, KIND_STALL
 from repro.obs.metrics import Counter, Gauge, Histogram, LabelKey
 
@@ -410,14 +410,17 @@ def render_attribution(telemetry: Telemetry) -> str:
     return "\n".join(parts)
 
 
+def health_verdict(health: HealthMonitor) -> str:
+    """The one-line verdict: checks evaluated and violations found."""
+    return (f"checks evaluated: {health.checks_total}; "
+            f"violations: {health.violation_count}")
+
+
 def render_health(telemetry: Telemetry) -> str:
     """The invariant-monitor report (ASCII)."""
     health = telemetry.health
     parts = ["== study health: invariant monitors =="]
-    parts.append(
-        f"checks evaluated: {health.checks_total}; "
-        f"violations: {health.violation_count}"
-    )
+    parts.append(health_verdict(health))
     if health.violations:
         rows = [[invariant, health.violations[invariant]]
                 for invariant in sorted(health.violations)]

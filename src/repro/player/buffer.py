@@ -122,8 +122,10 @@ class PlayoutBuffer:
         telemetry = obs.active()
         if telemetry.enabled and telemetry.health_on and self._playing:
             gap = self._buffered_until - self._playhead(self.loop.now)
+            ok = gap >= -1e-9
             telemetry.health.check(
-                "player.buffer_nonnegative", gap >= -1e-9,
+                "player.buffer_nonnegative", ok,
+                "" if ok else
                 f"frontier-playhead gap {gap:.6f}s at t={self.loop.now:.3f}",
             )
         if telemetry.enabled and telemetry.metrics_on:

@@ -1,21 +1,28 @@
 """Campaign runner semantics (repro.campaign.runner + the CLI).
 
 The determinism contract under test: a campaign's final artifacts —
-``dataset.pkl`` bytes, merged ``metrics.prom``/``metrics.json`` — are a
-pure function of the spec.  Cache hits, corrupted-blob recomputes, a
-different campaign directory, and cell-level parallelism must all
+``dataset.pkl`` bytes, merged ``metrics.prom``/``metrics.json``, and
+``health.txt`` when the invariant monitors are on — are a pure function
+of the spec.  Cache hits, corrupted-blob recomputes, a different
+campaign directory, cell-level parallelism and a kill/resume must all
 reproduce the cold serial bytes exactly.
 """
 
+import dataclasses
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.campaign.__main__ import main as campaign_main
+from repro.campaign.cells import decode_result
 from repro.campaign.runner import (
     DATASET_NAME,
+    HEALTH_NAME,
     METRICS_JSON_NAME,
     METRICS_PROM_NAME,
     PROGRESS_NAME,
@@ -114,6 +121,13 @@ def test_dataset_payload_shape(cold):
     assert first["seed"] == 2016
     assert first["bandwidth_limit_mbps"] == 0.5
     assert len(first["dataset"].sessions) == 1
+
+
+def test_campaign_without_health_writes_no_health_artifact(cold):
+    path, summary, _artifacts = cold
+    assert CampaignStore(str(path)).read_artifact(HEALTH_NAME) is None
+    assert "health" not in summary.artifacts
+    assert summary.health is None
 
 
 def test_progress_and_spec_artifacts_written(cold):
@@ -271,3 +285,74 @@ def test_population_campaign_runs_and_memoizes(tmp_path):
     assert cell["totals"]  # cohort aggregates ship with population cells
     _store2, rerun = _run(path, spec=spec)
     assert rerun.memoized == 1 and rerun.executed == 0
+
+
+# ------------------------------------------------------------------ health
+
+#: The same grid with the invariant monitors on, under loss and jitter so
+#: the link checks see retransmissions and deferral gaps.
+HEALTH_SPEC = dataclasses.replace(
+    SPEC, health_enabled=True, faults="loss=ge:0.02:0.3:0.5,jitter=0.005")
+HEALTH_CLI_GRID = CLI_GRID + ["--health", "--faults", HEALTH_SPEC.faults]
+
+
+def _health_bytes(path):
+    return CampaignStore(str(path)).read_artifact(HEALTH_NAME)
+
+
+@pytest.fixture(scope="module")
+def health_cold(tmp_path_factory):
+    """One cold serial run with health on."""
+    path = tmp_path_factory.mktemp("campaign-health")
+    _store, summary = _run(path, spec=HEALTH_SPEC)
+    return path, summary, _health_bytes(path)
+
+
+def test_health_artifact_folds_every_cell(health_cold):
+    path, summary, report = health_cold
+    store = CampaignStore(str(path))
+    completed = store.completed_cells()
+    checks = 0
+    for key, _cell in CampaignRunner(store, HEALTH_SPEC).plan():
+        result = decode_result(store.read_blob(completed[key]))
+        checks += result.snapshots["health"]["checks_total"]
+    assert checks > 0
+    assert summary.health.checks_total == checks
+    assert summary.artifacts["health"] == os.path.join(str(path), HEALTH_NAME)
+    text = report.decode("utf-8")
+    assert text.startswith("== study health: invariant monitors ==\n")
+    assert f"checks evaluated: {checks}; violations: 0\n" in text
+
+
+def test_health_artifact_is_stable_across_reruns_and_workers(
+        health_cold, tmp_path):
+    path, _summary, reference = health_cold
+    _store, rerun = _run(path, spec=HEALTH_SPEC)
+    assert rerun.executed == 0
+    assert _health_bytes(path) == reference
+    _store, parallel = _run(tmp_path / "parallel", spec=HEALTH_SPEC,
+                            workers=2)
+    assert parallel.executed == 4
+    assert _health_bytes(tmp_path / "parallel") == reference
+
+
+def test_health_artifact_survives_kill_and_resume(health_cold, tmp_path,
+                                                  capsys):
+    _path, summary, reference = health_cold
+    campaign_dir = str(tmp_path / "killed")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    killed = subprocess.run(
+        [sys.executable, "-m", "repro.campaign", "run", "--campaign",
+         campaign_dir, "--kill-after-appends", "3"] + HEALTH_CLI_GRID,
+        capture_output=True, text=True, env=env,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    assert _health_bytes(campaign_dir) is None
+    assert campaign_main(["run", "--campaign", campaign_dir]
+                         + HEALTH_CLI_GRID) == 0
+    out = capsys.readouterr().out
+    assert (f"checks evaluated: {summary.health.checks_total}; "
+            f"violations: 0") in out
+    assert _health_bytes(campaign_dir) == reference

@@ -1,7 +1,13 @@
 """Unit tests for links and token-bucket shaping."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.faults.impair import FlapSchedule, LinkImpairment, LossSpec
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link, TokenBucketShaper
 from repro.netsim.packet import HEADER_BYTES, Packet
@@ -235,3 +241,167 @@ class TestDeferralGapAccounting:
         loop.run_until(4.0)
         assert link.utilization_until_now() == pytest.approx(2.0 / 4.0)
         assert not link._gaps
+
+
+def scan_pending_tx_time(gaps, busy_until, now):
+    """The oracle for ``Link._pending_tx_time``: the busy horizon less
+    every queued gap's overlap with ``[now, busy_until)``, one gap at a
+    time, without touching the link."""
+    pending = busy_until - now
+    if pending <= 0.0:
+        return 0.0
+    for gap_start, gap_end in gaps:
+        overlap = min(gap_end, busy_until) - max(gap_start, now)
+        if overlap > 0.0:
+            pending -= overlap
+    return max(0.0, pending)
+
+
+class TestPendingTxTimeAccounting:
+    """``_pending_tx_time`` keeps a running sum of the queued gaps instead
+    of rescanning them; it must agree with the scan on every call."""
+
+    @staticmethod
+    def make_faulted_link(rng_seed):
+        impairment = LinkImpairment(
+            random.Random(rng_seed),
+            loss=LossSpec(model="gilbert", p_good_to_bad=0.05,
+                          p_bad_to_good=0.3, bad_loss=0.5, recovery_s=0.03),
+            jitter_s=0.002,
+            flaps=FlapSchedule([(0.1, 0.25), (0.6, 0.9), (1.5, 1.6)]),
+        )
+        return Link(
+            EventLoop(), rate_bps=4e6, delay_s=0.01,
+            shaper=TokenBucketShaper(rate_bps=1e6, bucket_bytes=4000),
+            impairment=impairment,
+        )
+
+    @given(
+        rng_seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.floats(0.0, 0.03), st.integers(40, 1500)),
+            min_size=1, max_size=150,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_gap_scan_after_every_admission(self, rng_seed, steps):
+        link = self.make_faulted_link(rng_seed)
+        now = 0.0
+        for dt, wire_bytes in steps:
+            now += dt
+            link._admit(wire_bytes, now)
+            expected = scan_pending_tx_time(
+                list(link._gaps), link._busy_until, now)
+            assert link._pending_tx_time(now) == pytest.approx(
+                expected, rel=0.0, abs=1e-9)
+        idle_at = link._busy_until + 1.0
+        assert link._pending_tx_time(idle_at) == 0.0
+        assert not link._gaps
+        assert link._gap_total == 0.0
+
+    def test_gap_total_tracks_the_queued_gaps(self):
+        link = self.make_faulted_link(7)
+        for _ in range(20):  # a burst: every packet past the bucket waits
+            link._admit(1500, 0.05)
+        assert len(link._gaps) > 2
+        assert link._gap_total == pytest.approx(
+            sum(end - start for start, end in link._gaps))
+
+
+class TestLinkInstruments:
+    """The per-packet series are resolved once per link and registry."""
+
+    @staticmethod
+    def send_burst(link, count):
+        for seq in range(count):
+            link.send(make_packet(nbytes=1000 - HEADER_BYTES, seq=seq))
+
+    def test_successive_sessions_record_into_their_own_registry(self):
+        loop = EventLoop()
+        link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="uplink")
+        link.deliver = lambda p: None
+        with obs.session(metrics=True, tracing=False,
+                         profiling=False) as first:
+            self.send_burst(link, 2)
+        with obs.session(metrics=True, tracing=False,
+                         profiling=False) as second:
+            self.send_burst(link, 3)
+        loop.run()
+        for telemetry, packets in ((first, 2), (second, 3)):
+            metrics = telemetry.metrics
+            assert metrics.get("netsim_link_packets_total",
+                               link="uplink").value == packets
+            assert metrics.get("netsim_link_bytes_total",
+                               link="uplink").value == 1000 * packets
+            assert metrics.get("netsim_link_queue_delay_seconds",
+                               link="uplink").count == packets
+
+    def test_disabled_telemetry_records_nothing(self):
+        obs.deactivate()
+        loop = EventLoop()
+        link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="quiet")
+        link.deliver = lambda p: None
+        self.send_burst(link, 3)
+        loop.run()
+        assert link._instrumented is None
+        assert obs.active().metrics.get("netsim_link_packets_total",
+                                        link="quiet") is None
+        with obs.session(metrics=False, tracing=False, profiling=False,
+                         health=True) as telemetry:
+            self.send_burst(link, 1)
+        assert link._instrumented is None
+        assert telemetry.metrics.families() == []
+
+    def test_unshaped_unimpaired_link_creates_no_throttle_series(self):
+        with obs.session(metrics=True, tracing=False,
+                         profiling=False) as telemetry:
+            loop = EventLoop()
+            plain = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="plain")
+            shaped = Link(
+                loop, rate_bps=8_000.0, delay_s=0.0, name="shaped",
+                shaper=TokenBucketShaper(rate_bps=800.0, bucket_bytes=1000),
+            )
+            for link in (plain, shaped):
+                link.deliver = lambda p: None
+                self.send_burst(link, 3)
+            loop.run()
+        metrics = telemetry.metrics
+        assert metrics.get("netsim_link_packets_total",
+                           link="plain").value == 3
+        assert metrics.get("netsim_link_throttle_seconds_total",
+                           link="plain") is None
+        assert metrics.get("netsim_link_impairment_seconds_total",
+                           link="plain") is None
+        assert metrics.get("netsim_link_throttle_seconds_total",
+                           link="shaped").value > 0.0
+
+
+class TestUtilizationHealthCheck:
+    def send_at_one_second(self, link, loop):
+        loop.run_until(1.0)
+        link.send(make_packet(nbytes=1000 - HEADER_BYTES))
+
+    def test_passing_check_keeps_no_sample(self):
+        with obs.session(metrics=False, tracing=False, profiling=False,
+                         health=True) as telemetry:
+            loop = EventLoop()
+            link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="wan")
+            link.deliver = lambda p: None
+            self.send_at_one_second(link, loop)
+        assert telemetry.health.checks_total == 1
+        assert telemetry.health.ok()
+        assert telemetry.health.samples == []
+
+    def test_forced_violation_names_the_link(self):
+        with obs.session(metrics=False, tracing=False, profiling=False,
+                         health=True) as telemetry:
+            loop = EventLoop()
+            link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="wan")
+            link.deliver = lambda p: None
+            link._busy_time_scheduled = 5.0  # more busy time than elapsed
+            self.send_at_one_second(link, loop)
+        assert telemetry.health.checks_total == 1
+        assert telemetry.health.violations == {"link.utilization_bounded": 1}
+        assert telemetry.health.samples == [
+            "link.utilization_bounded: wan: 5.000s busy in 1.000s elapsed"
+        ]

@@ -5,6 +5,8 @@ instrumentation must never change simulation results."""
 import pytest
 
 from repro import obs
+from repro.core.config import StudyConfig
+from repro.core.study import AutomatedViewingStudy
 from repro.experiments.common import Workbench
 from repro.netsim.events import EventLoop
 from repro.obs.profiler import callback_site
@@ -135,6 +137,26 @@ def test_profiler_on_event_tap_sees_sim_time_and_site():
 
 def test_loop_without_telemetry_has_no_profiler():
     assert EventLoop().profiler is None
+
+
+def test_study_metrics_leave_the_profiler_off():
+    """``metrics_enabled`` turns on the registry only: the wall-clock
+    profiler is its own switch (the CLI sets it under ``--metrics``)."""
+    obs.deactivate()
+    try:
+        study = AutomatedViewingStudy(StudyConfig(
+            seed=77, scale=0.02, watch_seconds=4.0, metrics_enabled=True))
+        telemetry = obs.active()
+        assert telemetry.enabled and telemetry.metrics_on
+        assert not telemetry.profiling_on
+        assert EventLoop().profiler is None
+        study.run_batch(1)
+        assert telemetry.metrics.get("study_sessions_total",
+                                     limit="100") is not None
+        assert telemetry.profiler.events_profiled == 0
+        assert not telemetry.profiler.sites
+    finally:
+        obs.deactivate()
 
 
 # ---------------------------------------------------------- determinism
