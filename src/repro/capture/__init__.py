@@ -1,9 +1,7 @@
-"""The measurement pipeline: interception, reconstruction, inspection.
+"""The measurement pipeline: reconstruction and inspection.
 
 Mirrors the paper's tooling stack:
 
-* :mod:`repro.capture.mitm` — the SSL-capable man-in-the-middle proxy
-  with inline scripts (mitmproxy);
 * :mod:`repro.capture.reconstruct` — TCP stream reassembly and media
   extraction from tether captures (wireshark: "follow TCP stream",
   HTTP GET → MPEG-TS segment isolation, RTMP dissection);
@@ -12,7 +10,6 @@ Mirrors the paper's tooling stack:
   segment durations (libav).
 """
 
-from repro.capture.mitm import InlineScript, MitmProxy
 from repro.capture.reconstruct import (
     ReassembledStream,
     extract_hls_segments,
@@ -22,8 +19,6 @@ from repro.capture.reconstruct import (
 from repro.capture.inspector import MediaReport, classify_gop, inspect_frames
 
 __all__ = [
-    "InlineScript",
-    "MitmProxy",
     "ReassembledStream",
     "extract_hls_segments",
     "extract_rtmp_frames",

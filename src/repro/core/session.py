@@ -1,19 +1,26 @@
 """One automated viewing session, end to end.
 
-Reproduces the paper's adb loop for a single broadcast: tap Teleport,
-resolve the broadcast through the API, connect over the selected
-protocol, watch for exactly 60 seconds with the chat pane visible (the
-app's default), then close, and the app finally uploads its playbackMeta
-statistics.  The download volume is the tether download link's wire-byte
-counter; a caller that wants the tcpdump trace calls
+Reproduces the paper's adb loop for a single broadcast, and
+:meth:`ViewingSession.run` reads as that loop: tap Teleport, resolve the
+broadcast through the API, connect over the selected protocol, watch for
+exactly 60 seconds with the chat pane visible (the app's default), then
+close, and the app finally uploads its playbackMeta statistics.  Each
+step is a method; every callback the session hands the event loop or a
+client is a bound method or a ``functools.partial`` over one, so the
+profiler names each site.  Whichever protocol the session picked, it
+reads its player through one contract, :class:`repro.player.Player`.
+
+The download volume is the tether download link's wire-byte counter; a
+caller that wants the tcpdump trace calls
 ``session.testbed.start_capture()`` before :meth:`ViewingSession.run`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, List, Optional
 
 from repro import obs
 from repro.automation.devices import DeviceProfile
@@ -22,11 +29,13 @@ from repro.automation.shaping import shaper_for_limit
 from repro.core.qoe import SessionQoE
 from repro.core.testbed import SessionTestbed, TestbedConfig, VIEWER_LOCATION
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetrySchedule
+from repro.faults.retry import HLS_TRANSPORT_RETRY, RetrySchedule
 from repro.media.frames import EncodedFrame
 from repro.netsim.connection import Connection, Message
+from repro.netsim.duplex import DuplexStream
 from repro.netsim.events import EventLoop
-from repro.player.chat_client import ChatClient
+from repro.player.buffer import PlaybackReport, Player
+from repro.player.chat_client import AVATAR_POOL_CONNECTIONS, ChatClient
 from repro.player.hls_player import HlsPlayer
 from repro.player.rtmp_player import RtmpPlayer
 from repro.protocols.http import HttpClient, HttpRequest, HttpResponse, HttpServer, HttpStatus
@@ -37,8 +46,9 @@ from repro.protocols.rtmp import (
     HANDSHAKE_S0S1S2,
     RtmpPushSession,
 )
+from repro.service.api import API_PATH
 from repro.service.broadcast import Broadcast
-from repro.service.chat import ChatFeed
+from repro.service.chat import ChatFeed, ChatMessage
 from repro.service.delivery import HlsOrigin, LiveSourceDriver, RtmpDelivery
 from repro.service.geo import GeoPoint
 from repro.service.ingest import IngestPool, nearest_cdn_edge
@@ -87,40 +97,71 @@ class SessionArtifacts:
     total_down_bytes: int
 
 
+def _s3_handler(request: HttpRequest, identity: str) -> HttpResponse:
+    """The avatar store answers with the size the chat message named."""
+    nbytes = int(request.headers.get("x-size", "30000"))
+    return HttpResponse(HttpStatus.OK, body_bytes=nbytes)
+
+
+def _push_chat(stream: DuplexStream, message: ChatMessage, kind: str) -> None:
+    """The chat service sends one message over the websocket."""
+    if not stream.closed:
+        stream.send_from_b(Message(
+            payload=message,
+            nbytes=message.frame_bytes(),
+            annotations={"protocol": "websocket", "kind": kind},
+        ))
+
+
+def _reconnect_accepted(failover_ok: bool, window_end: float, now: float) -> bool:
+    """One reconnect probe: a failover region accepts at once, the
+    primary only once its outage window has ended."""
+    return failover_ok or now >= window_end
+
+
 class ViewingSession:
     """Builds the testbed, runs the 60 s watch, and reports QoE."""
 
     def __init__(self, setup: SessionSetup, ingest: Optional[IngestPool] = None) -> None:
         self.setup = setup
-        seed = (setup.seed, setup.broadcast.broadcast_id)
-        self._rng = child_rng(seed, "session")
-        self.ingest = ingest or IngestPool(child_rng(seed, "ingest"))
+        key = self._seed_key = (setup.seed, setup.broadcast.broadcast_id)
+        self.ingest = ingest or IngestPool(child_rng(key, "ingest"))
         self.loop = EventLoop()
         self.testbed = SessionTestbed(
             self.loop,
             TestbedConfig(
                 shaper=shaper_for_limit(setup.bandwidth_limit_mbps),
                 faults=setup.faults,
-                fault_seed=seed,
+                fault_seed=key,
                 fault_horizon_s=setup.watch_seconds + 10.0,
             ),
         )
         self._capture_clock_error = CAPTURE_DESKTOP_CLOCK.sample_offset(
-            child_rng(seed, "capture-clock")
+            child_rng(key, "capture-clock")
         )
         self._broadcaster_clock_error = BROADCASTER_PHONE_CLOCK.sample_offset(
-            child_rng(seed, "broadcaster-clock")
+            child_rng(key, "broadcaster-clock")
         )
         self._viewers = setup.broadcast.viewers_at(
             setup.broadcast.start_time + setup.age_at_join
         )
-        self._player: Optional[object] = None
-        self._rtmp_push: Optional[RtmpPushSession] = None
-        self._rtmp_delivery: Optional[RtmpDelivery] = None
-        self._delivery_started = False
-        self._fault_events: List[str] = []
+        # No plan is the empty plan: it injects nothing and draws nothing.
+        self._plan = setup.faults or FaultPlan()
+        self._api_fault = self._plan.api_injector(child_rng(key, "fault-api"))
+        self._api_retry_rng = child_rng(key, "fault-api-retry")
         self._api_retries = 0
-        self._ingest_windows: List[Tuple[float, float]] = []
+        self._ingest_windows = self._plan.ingest_windows(
+            child_rng(key, "fault-ingest"), setup.watch_seconds
+        )
+        self._fault_events: List[str] = [
+            f"ingest-outage@{start:.2f}" for start, _end in self._ingest_windows
+        ]
+        # Set by _setup_rtmp / _setup_hls: the player, and what connects
+        # it once the API has resolved the broadcast.
+        self._player: Optional[Player] = None
+        self._start_media: Optional[Callable[[], None]] = None
+        self._rtmp_up: Optional[Connection] = None
+        self._rtmp_delivery: Optional[RtmpDelivery] = None
 
     # -------------------------------------------------------------- topology
 
@@ -129,43 +170,12 @@ class ViewingSession:
             return self.ingest.nearest_to(self.setup.broadcast.location).location
         return nearest_cdn_edge(VIEWER_LOCATION).location
 
-    # ------------------------------------------------------------------- run
-
-    def run(self) -> SessionArtifacts:
+    def _source_driver(self) -> LiveSourceDriver:
+        """The broadcast's live source, with history from before the join."""
         setup = self.setup
-        loop = self.loop
-        tb = self.testbed
-        telemetry = obs.active()
-        if telemetry.enabled and telemetry.causes_on:
-            # Scope the attribution ledger to this session.  The key is
-            # derived from the setup (never from execution order), so a
-            # parallel run's per-context buckets merge back into exactly
-            # the serial ledger.
-            plan_key = (setup.faults.describe()
-                        if setup.faults is not None else "none")
-            telemetry.causes.set_context(
-                f"{setup.broadcast.broadcast_id}"
-                f":{setup.seed}"
-                f":{setup.bandwidth_limit_mbps:g}"
-                f":{plan_key}"
-            )
-        session_span = None
-        if telemetry.enabled and telemetry.tracing_on:
-            session_span = telemetry.tracer.begin(
-                "session", sim_time=0.0,
-                broadcast_id=setup.broadcast.broadcast_id,
-                protocol=setup.protocol.value,
-                device=setup.device.name,
-                bandwidth_limit_mbps=setup.bandwidth_limit_mbps,
-            )
-        tb.add_server("api", API_LOCATION)
-        tb.add_server("media", self._media_server_location())
-        tb.add_server("chat", CHAT_LOCATION)
-        tb.add_server("s3", S3_LOCATION)
-
         history = RTMP_HISTORY_S if setup.protocol == DeliveryProtocol.RTMP else HLS_HISTORY_S
-        driver = LiveSourceDriver(
-            loop,
+        return LiveSourceDriver(
+            self.loop,
             setup.broadcast,
             age_at_join=setup.age_at_join,
             horizon_s=setup.watch_seconds + 5.0,
@@ -173,186 +183,51 @@ class ViewingSession:
             broadcaster_clock_offset_s=self._broadcaster_clock_error,
         )
 
-        # --- fault plan ----------------------------------------------------
-        plan = setup.faults
-        seed = (setup.seed, setup.broadcast.broadcast_id)
-        api_fault = None
-        api_retry_rng = None
-        if plan is not None and plan.has_api_faults:
-            api_fault = plan.api_injector(child_rng(seed, "fault-api"))
-        if plan is not None:
-            api_retry_rng = child_rng(seed, "fault-api-retry")
-        if plan is not None and plan.has_ingest_faults:
-            self._ingest_windows = plan.ingest_windows(
-                child_rng(seed, "fault-ingest"), setup.watch_seconds
-            )
-            for window_start, _window_end in self._ingest_windows:
-                self._fault_events.append(f"ingest-outage@{window_start:.2f}")
+    # ------------------------------------------------------------------- run
 
-        # --- API frontend -------------------------------------------------
+    def run(self) -> SessionArtifacts:
+        """Build the testbed, tap Teleport, watch, upload playbackMeta."""
+        setup = self.setup
+        loop = self.loop
+        tb = self.testbed
+        telemetry = obs.active()
+        session_span = self._open_telemetry(telemetry)
+        tb.add_server("api", API_LOCATION)
+        tb.add_server("media", self._media_server_location())
+        tb.add_server("chat", CHAT_LOCATION)
+        tb.add_server("s3", S3_LOCATION)
+        driver = self._source_driver()
         api_stream = tb.stream_to("api", name="api")
-        api_responses = {"count": 0}
-
-        def api_handler(request: HttpRequest, identity: str) -> HttpResponse:
-            if api_fault is not None and api_fault.fire():
-                tel = obs.active()
-                if tel.enabled and tel.metrics_on:
-                    tel.metrics.counter(
-                        "faults_injected_total",
-                        "Fault events injected across layers",
-                        kind="api-5xx",
-                    ).inc()
-                return HttpResponse(
-                    HttpStatus.SERVICE_UNAVAILABLE,
-                    json_body={"error": "Service Unavailable"},
-                )
-            api_responses["count"] += 1
-            return HttpResponse(HttpStatus.OK, json_body={"ok": True})
-
-        HttpServer(loop, api_stream, api_handler, processing_delay_s=0.030)
-        api_client = HttpClient(loop, api_stream)
-
-        def api_call(json_body: dict, on_ok, kind: str) -> None:
-            """Issue one API request; with a fault plan active, walk the
-            shared retry policy on 5xx and degrade gracefully (a recorded
-            fault event) when the budget runs out."""
-            request = HttpRequest("POST", "/api/v2/apiRequest", json_body=json_body)
-            if plan is None:
-                api_client.request(request, on_ok)
-                return
-            schedule = RetrySchedule(
-                plan.retry, rng=api_retry_rng, started_at=loop.now
-            )
-
-            def send() -> None:
-                api_client.request(request, on_response)
-
-            def on_response(response: HttpResponse, now: float) -> None:
-                if response.status != HttpStatus.OK:
-                    delay = schedule.next_delay(now)
-                    if delay is None:
-                        self._fault_events.append(f"api-gave-up:{kind}")
-                        return
-                    self._api_retries += 1
-                    tel = obs.active()
-                    if tel.enabled and tel.metrics_on:
-                        tel.metrics.counter(
-                            "retries_total", "Client retry attempts",
-                            kind="session-api",
-                        ).inc()
-                    if tel.enabled and tel.causes_on:
-                        tel.causes.add("api.retry_backoff", delay)
-                    loop.schedule(delay, send)
-                    return
-                on_ok(response, now)
-
-            send()
-
-        # --- media path ----------------------------------------------------
+        HttpServer(loop, api_stream, self._api_handler, processing_delay_s=0.030)
+        self._api_client = HttpClient(loop, api_stream)
         if setup.protocol == DeliveryProtocol.RTMP:
             self._setup_rtmp(driver)
         else:
             self._setup_hls(driver)
-
         driver.start()
+        chat_client = self._open_chat()
 
-        # --- chat ----------------------------------------------------------
-        chat_stream = tb.stream_to("chat", name="chat")
-
-        def s3_handler(request: HttpRequest, identity: str) -> HttpResponse:
-            nbytes = int(request.headers.get("x-size", "30000"))
-            return HttpResponse(HttpStatus.OK, body_bytes=nbytes)
-
-        from repro.player.chat_client import AVATAR_POOL_CONNECTIONS
-
-        avatar_clients = []
-        for pool_index in range(AVATAR_POOL_CONNECTIONS):
-            s3_stream = tb.stream_to("s3", name=f"s3-{pool_index}")
-            HttpServer(loop, s3_stream, s3_handler, processing_delay_s=0.005)
-            avatar_clients.append(HttpClient(loop, s3_stream))
-        chat_client = ChatClient(
-            loop,
-            avatar_clients,
-            ui_on=setup.chat_ui_on,
-            cache_avatars=setup.cache_avatars,
-        )
-        chat_stream.on_at_a = chat_client.on_message
-        feed = ChatFeed(child_rng((setup.seed, setup.broadcast.broadcast_id), "chat"),
-                        viewers=self._viewers)
-        # Joining delivers the recent chat history as one burst (avatar
-        # downloads then compete with initial video buffering).
-        history_at = 0.35  # right after the websocket connects
-        for chat_msg in feed.history():
-            loop.schedule_at(
-                history_at,
-                lambda m=chat_msg: (
-                    None
-                    if chat_stream.closed
-                    else chat_stream.send_from_b(
-                        Message(
-                            payload=m,
-                            nbytes=m.frame_bytes(),
-                            annotations={"protocol": "websocket", "kind": "history"},
-                        )
-                    )
-                ),
-            )
-        for chat_msg in feed.messages(setup.watch_seconds + 2.0):
-            loop.schedule_at(
-                chat_msg.timestamp,
-                lambda m=chat_msg: (
-                    None
-                    if chat_stream.closed
-                    else chat_stream.send_from_b(
-                        Message(
-                            payload=m,
-                            nbytes=m.frame_bytes(),
-                            annotations={"protocol": "websocket", "kind": "chat"},
-                        )
-                    )
-                ),
-            )
-
-        # --- the Teleport tap: API exchange, then connect ------------------
-        def on_access_video(response: HttpResponse, now: float) -> None:
-            self._begin_media(now)
-
-        def on_teleport(response: HttpResponse, now: float) -> None:
-            api_call(
-                {"request": "accessVideo",
-                 "broadcast_id": setup.broadcast.broadcast_id},
-                on_access_video,
-                kind="accessVideo",
-            )
-
-        api_call(
+        # The Teleport tap: resolve the broadcast, then connect.
+        self._api_call(
             {"request": "getBroadcasts",
              "broadcast_ids": [setup.broadcast.broadcast_id]},
-            on_teleport,
-            kind="getBroadcasts",
+            self._on_teleport, "getBroadcasts",
         )
-
-        # --- run the watch --------------------------------------------------
         loop.run_until(setup.watch_seconds)
         report = self._player.finalize(setup.watch_seconds)
 
         # The app uploads playbackMeta after the session closes.
         playback_meta = self._playback_meta(report)
-        api_call(
-            {"request": "playbackMeta", "stats": playback_meta},
-            lambda resp, t: None,
-            kind="playbackMeta",
-        )
-        loop.run_until(setup.watch_seconds + 2.0)
+        self._api_call({"request": "playbackMeta", "stats": playback_meta},
+                       None, "playbackMeta")
+        end_time = setup.watch_seconds + 2.0
+        loop.run_until(end_time)
 
         qoe = self._build_qoe(report)
-        if telemetry.enabled:
-            end_time = setup.watch_seconds + 2.0
-            if session_span is not None:
-                self._record_lifecycle_spans(telemetry, session_span, report,
-                                             end_time)
-            if telemetry.metrics_on:
-                self._record_session_metrics(telemetry, report)
+        if session_span is not None:
+            self._record_lifecycle_spans(telemetry, session_span, report, end_time)
+        if telemetry.enabled and telemetry.metrics_on:
+            self._record_session_metrics(telemetry, report)
         return SessionArtifacts(
             qoe=qoe,
             playback_meta=playback_meta,
@@ -363,14 +238,103 @@ class ViewingSession:
             total_down_bytes=tb.down_link.bytes_carried,
         )
 
-    # --------------------------------------------------------------- protocols
+    # ------------------------------------------------------------------- API
 
-    def _begin_media(self, now: float) -> None:
-        """API resolution done: connect to the media server."""
-        if self.setup.protocol == DeliveryProtocol.RTMP:
-            self._rtmp_handshake()
-        else:
-            self._hls_player.start()
+    def _api_handler(self, request: HttpRequest, identity: str) -> HttpResponse:
+        """The API frontend: OK, unless the fault plan injects a 503."""
+        if self._api_fault is not None and self._api_fault.fire():
+            telemetry = obs.active()
+            if telemetry.enabled and telemetry.metrics_on:
+                telemetry.metrics.counter(
+                    "faults_injected_total",
+                    "Fault events injected across layers",
+                    kind="api-5xx",
+                ).inc()
+            return HttpResponse(
+                HttpStatus.SERVICE_UNAVAILABLE,
+                json_body={"error": "Service Unavailable"},
+            )
+        return HttpResponse(HttpStatus.OK, json_body={"ok": True})
+
+    def _api_call(self, json_body: dict, on_ok: Optional[Callable[[], None]],
+                  kind: str) -> None:
+        """Send one API request, walk the plan's retry policy on 5xx, and
+        degrade gracefully (a recorded fault event) when the budget runs
+        out.  Without injected faults no request fails and nothing is
+        drawn."""
+        request = HttpRequest("POST", API_PATH, json_body=json_body)
+        schedule = RetrySchedule(
+            self._plan.retry, rng=self._api_retry_rng, started_at=self.loop.now
+        )
+        self._api_send(request, schedule, on_ok, kind)
+
+    def _api_send(self, request: HttpRequest, schedule: RetrySchedule,
+                  on_ok: Optional[Callable[[], None]], kind: str) -> None:
+        self._api_client.request(
+            request, partial(self._on_api_response, request, schedule, on_ok, kind)
+        )
+
+    def _on_api_response(self, request: HttpRequest, schedule: RetrySchedule,
+                         on_ok: Optional[Callable[[], None]], kind: str,
+                         response: HttpResponse, now: float) -> None:
+        if response.status == HttpStatus.OK:
+            if on_ok is not None:
+                on_ok()
+            return
+        delay = schedule.next_delay(now)
+        if delay is None:
+            self._fault_events.append(f"api-gave-up:{kind}")
+            return
+        self._api_retries += 1
+        telemetry = obs.active()
+        if telemetry.enabled and telemetry.metrics_on:
+            telemetry.metrics.counter(
+                "retries_total", "Client retry attempts", kind="session-api",
+            ).inc()
+        if telemetry.enabled and telemetry.causes_on:
+            telemetry.causes.add("api.retry_backoff", delay)
+        self.loop.schedule(
+            delay, partial(self._api_send, request, schedule, on_ok, kind)
+        )
+
+    def _on_teleport(self) -> None:
+        """getBroadcasts answered: resolve the stream, then connect."""
+        self._api_call(
+            {"request": "accessVideo",
+             "broadcast_id": self.setup.broadcast.broadcast_id},
+            self._start_media, "accessVideo",
+        )
+
+    # ------------------------------------------------------------------ chat
+
+    def _open_chat(self) -> ChatClient:
+        """The chat websocket plus the avatar fetch pool.  Joining delivers
+        the recent chat history as one burst right after the websocket
+        connects (avatar downloads then compete with initial video
+        buffering); live messages follow at their timestamps."""
+        loop = self.loop
+        chat_stream = self.testbed.stream_to("chat", name="chat")
+        avatar_clients = []
+        for pool_index in range(AVATAR_POOL_CONNECTIONS):
+            s3_stream = self.testbed.stream_to("s3", name=f"s3-{pool_index}")
+            HttpServer(loop, s3_stream, _s3_handler, processing_delay_s=0.005)
+            avatar_clients.append(HttpClient(loop, s3_stream))
+        chat_client = ChatClient(
+            loop,
+            avatar_clients,
+            ui_on=self.setup.chat_ui_on,
+            cache_avatars=self.setup.cache_avatars,
+        )
+        chat_stream.on_at_a = chat_client.on_message
+        feed = ChatFeed(child_rng(self._seed_key, "chat"), viewers=self._viewers)
+        history_at = 0.35
+        for message in feed.history():
+            loop.schedule_at(history_at, partial(_push_chat, chat_stream, message, "history"))
+        for message in feed.messages(self.setup.watch_seconds + 2.0):
+            loop.schedule_at(message.timestamp, partial(_push_chat, chat_stream, message, "chat"))
+        return chat_client
+
+    # --------------------------------------------------------------- protocols
 
     def _setup_rtmp(self, driver: LiveSourceDriver) -> None:
         setup = self.setup
@@ -381,18 +345,8 @@ class ViewingSession:
             capture_clock_error_s=self._capture_clock_error,
         )
         player.set_display_fps_factor(self._display_factor())
-        def client_side(message: Message, now: float) -> None:
-            if message.annotations.get("protocol") == "rtmp-control":
-                # S0S1S2 arrived: finish the handshake and ask to play.
-                self._rtmp_up.send(
-                    Message(payload="C2+play", nbytes=HANDSHAKE_C2 + 200,
-                            annotations={"protocol": "rtmp", "kind": "handshake"})
-                )
-                return
-            player.on_message(message, now)
-
         down_conn = Connection(
-            self.loop, down_fwd, down_rev, on_message=client_side,
+            self.loop, down_fwd, down_rev, on_message=self._rtmp_client_side,
             name="rtmp-down",
         )
         up_fwd = self.testbed.net.path("phone", "desktop", "media")
@@ -401,30 +355,22 @@ class ViewingSession:
             self.loop, up_fwd, up_rev, on_message=self._rtmp_server_side,
             name="rtmp-up",
         )
-        self._rtmp_push = RtmpPushSession(down_conn)
-        self._rtmp_delivery = RtmpDelivery(self._rtmp_push, driver)
+        self._rtmp_delivery = RtmpDelivery(RtmpPushSession(down_conn), driver)
         self._player = player
-        self._handshake_stage = 0
-        if self._ingest_windows:
-            reconnect_rng = child_rng(
-                (setup.seed, setup.broadcast.broadcast_id), "fault-reconnect"
+        self._start_media = self._rtmp_handshake
+        reconnect_rng = child_rng(self._seed_key, "fault-reconnect")
+        for window_start, window_end in self._ingest_windows:
+            self.loop.schedule_at(
+                window_start, partial(self._on_ingest_outage, window_end, reconnect_rng)
             )
-            for window in self._ingest_windows:
-                self.loop.schedule_at(
-                    window[0],
-                    lambda w=window, r=reconnect_rng: self._on_ingest_outage(
-                        w[0], w[1], r
-                    ),
-                )
 
-    def _on_ingest_outage(self, window_start: float, window_end: float,
-                          rng: random.Random) -> None:
+    def _on_ingest_outage(self, window_end: float, rng: random.Random) -> None:
         """An ingest server went down mid-stream: the RTMP push stops and
         the player walks the reconnect policy.  With regional failover a
         healthy region accepts immediately; otherwise reconnects fail
         until the primary recovers at ``window_end``."""
         delivery = self._rtmp_delivery
-        if delivery is None or not delivery.started or delivery.interrupted:
+        if not delivery.started or delivery.interrupted:
             return
         delivery.interrupt()
         telemetry = obs.active()
@@ -433,25 +379,22 @@ class ViewingSession:
                 "faults_injected_total", "Fault events injected across layers",
                 kind="ingest-outage",
             ).inc()
-        plan = self.setup.faults
-        assert plan is not None
         primary = self.ingest.nearest_to(self.setup.broadcast.location)
-        failover_ok = plan.ingest_failover and any(
+        failover_ok = self._plan.ingest_failover and any(
             s.region != primary.region for s in self.ingest.servers
         )
+        self._player.begin_reconnect(
+            self._plan.retry,
+            partial(_reconnect_accepted, failover_ok, window_end),
+            partial(self._on_ingest_restored, self.loop.now),
+            rng=rng,
+        )
 
-        def probe(now: float) -> bool:
-            return failover_ok or now >= window_end
-
-        outage_began = self.loop.now
-
-        def on_restored(now: float) -> None:
-            tel = obs.active()
-            if tel.enabled and tel.causes_on:
-                tel.causes.add("service.outage", now - outage_began)
-            delivery.resume()
-
-        self._player.begin_reconnect(plan.retry, probe, on_restored, rng=rng)
+    def _on_ingest_restored(self, outage_began: float, now: float) -> None:
+        telemetry = obs.active()
+        if telemetry.enabled and telemetry.causes_on:
+            telemetry.causes.add("service.outage", now - outage_began)
+        self._rtmp_delivery.resume()
 
     def _rtmp_handshake(self) -> None:
         # C0+C1 travel to the server; the reply and the play command are
@@ -463,21 +406,29 @@ class ViewingSession:
 
     def _rtmp_server_side(self, message: Message, now: float) -> None:
         kind = message.payload
+        delivery = self._rtmp_delivery
         if kind == "C0C1":
             # S0+S1+S2 ride the down connection ahead of any media.
-            assert self._rtmp_push is not None
-            self._rtmp_push.connection.send(
+            delivery.push.connection.send(
                 Message(payload="S0S1S2", nbytes=HANDSHAKE_S0S1S2,
                         annotations={"protocol": "rtmp-control", "kind": "handshake"})
             )
-        elif kind == "C2+play":
-            if not self._delivery_started:
-                self._delivery_started = True
-                self._rtmp_delivery.start()
+        elif kind == "C2+play" and not delivery.started:
+            delivery.start()
+
+    def _rtmp_client_side(self, message: Message, now: float) -> None:
+        if message.annotations.get("protocol") == "rtmp-control":
+            # S0S1S2 arrived: finish the handshake and ask to play.
+            self._rtmp_up.send(
+                Message(payload="C2+play", nbytes=HANDSHAKE_C2 + 200,
+                        annotations={"protocol": "rtmp", "kind": "handshake"})
+            )
+            return
+        self._player.on_message(message, now)
 
     def _display_factor(self) -> float:
         device = self.setup.device
-        rng = child_rng((self.setup.seed, self.setup.broadcast.broadcast_id), "device")
+        rng = child_rng(self._seed_key, "device")
         factor = device.display_fps_factor + rng.gauss(0.0, device.display_fps_jitter)
         return min(max(factor, 0.5), 1.0)
 
@@ -489,14 +440,6 @@ class ViewingSession:
         segment_stream = self.testbed.stream_to("media", name="hls-segments")
         HttpServer(self.loop, playlist_stream, origin.handle, processing_delay_s=0.003)
         HttpServer(self.loop, segment_stream, origin.handle, processing_delay_s=0.003)
-        player_kwargs = {}
-        if setup.faults is not None:
-            player_kwargs = {
-                "transport_retry": setup.faults.retry,
-                "retry_rng": child_rng(
-                    (setup.seed, setup.broadcast.broadcast_id), "fault-hls-retry"
-                ),
-            }
         player = HlsPlayer(
             self.loop,
             playlist_client=HttpClient(self.loop, playlist_stream),
@@ -504,16 +447,43 @@ class ViewingSession:
             playlist_path=f"/{setup.broadcast.broadcast_id}/playlist.m3u8",
             broadcast_start=-setup.age_at_join,
             capture_clock_error_s=self._capture_clock_error,
-            **player_kwargs,
+            # The pristine re-poll draws no jitter, so the rng stays unread.
+            transport_retry=(HLS_TRANSPORT_RETRY if setup.faults is None
+                             else setup.faults.retry),
+            retry_rng=child_rng(self._seed_key, "fault-hls-retry"),
         )
         player.set_display_fps_factor(self._display_factor())
-        self._hls_origin = origin
-        self._hls_player = player
         self._player = player
+        self._start_media = player.start
         # Process pre-join history once the driver has generated it.
         self.loop.schedule(0.0, origin.start)
 
     # ------------------------------------------------------------- telemetry
+
+    def _open_telemetry(self, telemetry) -> Optional[obs.Span]:
+        """Scope the cause ledger to this session and open its span."""
+        setup = self.setup
+        if telemetry.enabled and telemetry.causes_on:
+            # The key is derived from the setup (never from execution
+            # order), so a parallel run's per-context buckets merge back
+            # into exactly the serial ledger.
+            plan_key = (setup.faults.describe()
+                        if setup.faults is not None else "none")
+            telemetry.causes.set_context(
+                f"{setup.broadcast.broadcast_id}"
+                f":{setup.seed}"
+                f":{setup.bandwidth_limit_mbps:g}"
+                f":{plan_key}"
+            )
+        if telemetry.enabled and telemetry.tracing_on:
+            return telemetry.tracer.begin(
+                "session", sim_time=0.0,
+                broadcast_id=setup.broadcast.broadcast_id,
+                protocol=setup.protocol.value,
+                device=setup.device.name,
+                bandwidth_limit_mbps=setup.bandwidth_limit_mbps,
+            )
+        return None
 
     def _record_lifecycle_spans(self, telemetry, session_span, report,
                                 end_time: float) -> None:
@@ -585,7 +555,7 @@ class ViewingSession:
             meta["latency_s"] = report.mean_playback_latency_s
         return meta
 
-    def _build_qoe(self, report) -> SessionQoE:
+    def _build_qoe(self, report: PlaybackReport) -> SessionQoE:
         player = self._player
         frames: List[EncodedFrame] = player.video_frames
         bitrate = qp = fps = None
@@ -597,9 +567,7 @@ class ViewingSession:
             qp = sum(f.qp for f in frames) / len(frames)
             fps = player.displayed_fps(report)
         fault_events = list(self._fault_events)
-        if getattr(player, "gave_up", False) or getattr(
-            player, "reconnect_gave_up", False
-        ):
+        if player.gave_up:
             fault_events.append("player-gave-up")
         qoe = SessionQoE(
             broadcast_id=self.setup.broadcast.broadcast_id,
@@ -618,10 +586,10 @@ class ViewingSession:
             avg_viewers=self._viewers,
             fault_events=fault_events,
             api_retries=self._api_retries,
-            transport_retries=getattr(player, "transport_retries", 0),
-            disconnects=getattr(player, "disconnects", 0),
-            reconnects=getattr(player, "reconnects", 0),
-            join_causes=getattr(report, "join_causes", None),
+            transport_retries=player.transport_retries,
+            disconnects=player.disconnects,
+            reconnects=player.reconnects,
+            join_causes=report.join_causes,
         )
         telemetry = obs.active()
         if telemetry.enabled and telemetry.health_on:

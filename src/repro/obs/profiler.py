@@ -5,9 +5,11 @@ Every event loop created while telemetry is active shares one
 per-session loops; the interesting view is the aggregate).  The profiler
 attributes each fired callback to a *site* — a stable name derived from
 the callback object itself (``Class.method`` for bound methods,
-``module:qualname`` otherwise), so closures scheduled from
-``ViewingSession.run`` show up as ``session:ViewingSession.run.<locals>.
-<lambda>`` rather than disappearing into an anonymous bucket.
+``module:qualname`` otherwise, looking through ``functools.partial``),
+so the chat pushes a viewing session schedules show up as
+``session:_push_chat`` and its API retries as
+``ViewingSession._api_send`` rather than disappearing into an anonymous
+bucket.
 
 Wall time is measured around the callback invocation only; nothing is
 fed back into the loop, so profiling cannot change event ordering.

@@ -10,15 +10,22 @@ The buffer also derives **playback latency**: while playing, the wall
 clock and the playhead advance in lockstep, so each playing interval has
 a constant end-to-end latency ``t - (broadcast_start + playhead(t))``;
 the session value is the time-weighted mean over playing intervals.
+
+:class:`Player` is the reporting contract both receive paths share:
+what a viewing session reads from a player, whichever protocol it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.media.frames import EncodedFrame
 from repro.netsim.events import Event, EventLoop
+
+#: Nominal per-frame display duration used to extend the frontier.
+NOMINAL_FRAME_S = 1.0 / 30.0
 
 
 @dataclass
@@ -343,3 +350,65 @@ class PlayoutBuffer:
             mean_playback_latency_s=mean_latency,
             join_causes=self.join_causes,
         )
+
+
+class Player:
+    """What a viewing session reads from a player, RTMP or HLS.
+
+    Owns the :class:`PlayoutBuffer`, the capture-clock error added to
+    each delivery-latency sample (arrival time against the frame's
+    embedded NTP stamp), the device's display-rate factor, and the
+    resilience counters a fault plan can move.  A subclass feeds the
+    buffer and exposes the ``video_frames`` it received.
+    """
+
+    video_frames: List[EncodedFrame]
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        start_threshold_s: float,
+        rebuffer_threshold_s: float,
+        broadcast_start: float,
+        session_start: float,
+        capture_clock_error_s: float,
+    ) -> None:
+        self.loop = loop
+        self.buffer = PlayoutBuffer(
+            loop,
+            start_threshold_s=start_threshold_s,
+            rebuffer_threshold_s=rebuffer_threshold_s,
+            broadcast_start=broadcast_start,
+            session_start=session_start,
+        )
+        self.capture_clock_error_s = capture_clock_error_s
+        self.delivery_latency_samples: List[float] = []
+        self._display_fps_factor = 1.0
+        #: Failed fetches retried, stream disconnects, successful
+        #: reconnects, and whether a retry budget ran out.
+        self.transport_retries = 0
+        self.disconnects = 0
+        self.reconnects = 0
+        self.gave_up = False
+
+    def set_display_fps_factor(self, factor: float) -> None:
+        """Device decode capability: fraction of received frames the
+        device manages to display (Galaxy S3 < S4)."""
+        if not 0.0 < factor <= 1.0:
+            raise ValueError("factor must be in (0, 1]")
+        self._display_fps_factor = factor
+
+    def displayed_fps(self, report: PlaybackReport) -> Optional[float]:
+        """Average displayed frame rate: frames the device managed to
+        render over the media span they cover."""
+        frames = self.video_frames
+        if report.playback_s <= 0 or len(frames) < 2:
+            return None
+        pts = sorted(f.pts for f in frames)
+        span = pts[-1] - pts[0] + NOMINAL_FRAME_S
+        if span <= 0:
+            return None
+        return len(frames) * self._display_fps_factor / span
+
+    def finalize(self, end_time: float) -> PlaybackReport:
+        return self.buffer.finalize(end_time)

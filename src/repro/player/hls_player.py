@@ -17,7 +17,7 @@ from repro import obs
 from repro.faults.retry import HLS_TRANSPORT_RETRY, RetryPolicy
 from repro.media.segmenter import HlsSegment
 from repro.netsim.events import EventLoop
-from repro.player.buffer import PlaybackReport, PlayoutBuffer
+from repro.player.buffer import NOMINAL_FRAME_S, PlaybackReport, Player
 from repro.protocols.hls import MediaPlaylist, PlaylistEntry
 from repro.protocols.http import HttpClient, HttpRequest, HttpResponse, HttpStatus
 
@@ -29,7 +29,7 @@ HLS_REBUFFER_THRESHOLD_S = 0.5
 PLAYLIST_RETRY_S = 1.0
 
 
-class HlsPlayer:
+class HlsPlayer(Player):
     """Fetches the live window and feeds the playout buffer.
 
     Uses two HTTP connections — one for playlists, one for segments —
@@ -50,11 +50,11 @@ class HlsPlayer:
         transport_retry: RetryPolicy = HLS_TRANSPORT_RETRY,
         retry_rng: Optional[random.Random] = None,
     ) -> None:
-        self.loop = loop
+        super().__init__(loop, HLS_START_THRESHOLD_S, HLS_REBUFFER_THRESHOLD_S,
+                         broadcast_start, session_start, capture_clock_error_s)
         self.playlist_client = playlist_client
         self.segment_client = segment_client
         self.playlist_path = playlist_path
-        self.capture_clock_error_s = capture_clock_error_s
         #: Retry policy for *failed* playlist/segment fetches.  The
         #: default reproduces the historical fixed 1 s re-poll with a
         #: budget no 60 s watch can exhaust; fault plans swap in a
@@ -64,32 +64,13 @@ class HlsPlayer:
         #: Replay ("not live") sessions start from the first segment of an
         #: ended playlist instead of joining at the live edge.
         self.vod = vod
-        self.buffer = PlayoutBuffer(
-            loop,
-            start_threshold_s=HLS_START_THRESHOLD_S,
-            rebuffer_threshold_s=HLS_REBUFFER_THRESHOLD_S,
-            broadcast_start=broadcast_start,
-            session_start=session_start,
-        )
         self.stopped = False
         self.segments_fetched: List[HlsSegment] = []
-        self.delivery_latency_samples: List[float] = []
-        self.playlist_fetches = 0
-        self.stale_playlists = 0
-        self.transport_retries = 0
-        self.gave_up = False
         self._consecutive_errors = 0
         self._known_entries: Dict[int, PlaylistEntry] = {}
         self._next_sequence: Optional[int] = None
         self._fetching_segment = False
         self._origin_set = False
-        self._display_fps_factor = 1.0
-
-    def set_display_fps_factor(self, factor: float) -> None:
-        """Device decode capability (see RtmpPlayer)."""
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
-        self._display_fps_factor = factor
 
     # ----------------------------------------------------------------- start
 
@@ -131,7 +112,6 @@ class HlsPlayer:
     def _request_playlist(self) -> None:
         if self.stopped:
             return
-        self.playlist_fetches += 1
         self.playlist_client.request(
             HttpRequest("GET", self.playlist_path), self._on_playlist
         )
@@ -146,19 +126,15 @@ class HlsPlayer:
             return
         self._consecutive_errors = 0
         playlist = response.payload
-        new_entries = 0
         for entry in playlist.entries:
             if entry.sequence not in self._known_entries:
                 self._known_entries[entry.sequence] = entry
-                new_entries += 1
         if not playlist.entries:
             telemetry = obs.active()
             if telemetry.enabled and telemetry.causes_on:
                 telemetry.causes.add("hls.playlist_wait", PLAYLIST_RETRY_S)
             self.loop.schedule(PLAYLIST_RETRY_S, self._request_playlist)
             return
-        if new_entries == 0:
-            self.stale_playlists += 1
         if self._next_sequence is None:
             if self.vod:
                 # Replay: start from the beginning of the recording.
@@ -216,7 +192,7 @@ class HlsPlayer:
         if not self._origin_set:
             self.buffer.set_play_origin(segment.start_pts)
             self._origin_set = True
-        self.buffer.on_media(last_pts + 1.0 / 30.0)
+        self.buffer.on_media(last_pts + NOMINAL_FRAME_S)
         self._pump_segment_fetch()
 
     # ------------------------------------------------------------- reporting
@@ -228,16 +204,6 @@ class HlsPlayer:
             frames.extend(segment.video_frames)
         return frames
 
-    def displayed_fps(self, report: PlaybackReport) -> Optional[float]:
-        frames = self.video_frames
-        if report.playback_s <= 0 or len(frames) < 2:
-            return None
-        pts = sorted(f.pts for f in frames)
-        span = pts[-1] - pts[0] + 1.0 / 30.0
-        if span <= 0:
-            return None
-        return len(frames) * self._display_fps_factor / span
-
     def finalize(self, end_time: float) -> PlaybackReport:
         self.stop()
-        return self.buffer.finalize(end_time)
+        return super().finalize(end_time)

@@ -17,17 +17,14 @@ from repro.faults.retry import RetryPolicy, RetrySchedule
 from repro.media.frames import AudioFrame, EncodedFrame
 from repro.netsim.connection import Message
 from repro.netsim.events import EventLoop
-from repro.player.buffer import PlaybackReport, PlayoutBuffer
-
-#: Nominal per-frame display duration used to extend the frontier.
-NOMINAL_FRAME_S = 1.0 / 30.0
+from repro.player.buffer import NOMINAL_FRAME_S, Player
 
 #: Media buffered before playback starts (join) and after a stall.
 RTMP_START_THRESHOLD_S = 1.8
 RTMP_REBUFFER_THRESHOLD_S = 1.0
 
 
-class RtmpPlayer:
+class RtmpPlayer(Player):
     """Consumes pushed RTMP frames; drives the playout buffer."""
 
     def __init__(
@@ -39,31 +36,11 @@ class RtmpPlayer:
         start_threshold_s: float = RTMP_START_THRESHOLD_S,
         rebuffer_threshold_s: float = RTMP_REBUFFER_THRESHOLD_S,
     ) -> None:
-        self.loop = loop
-        self.buffer = PlayoutBuffer(
-            loop,
-            start_threshold_s=start_threshold_s,
-            rebuffer_threshold_s=rebuffer_threshold_s,
-            broadcast_start=broadcast_start,
-            session_start=session_start,
-        )
-        self.capture_clock_error_s = capture_clock_error_s
-        self.frames_received = 0
+        super().__init__(loop, start_threshold_s, rebuffer_threshold_s,
+                         broadcast_start, session_start, capture_clock_error_s)
         self.video_frames: List[EncodedFrame] = []
-        self.delivery_latency_samples: List[float] = []
-        self._display_fps_factor = 1.0
-        #: Reconnect bookkeeping (ingest outages; see begin_reconnect).
-        self.disconnects = 0
-        self.reconnects = 0
+        #: Reconnect probes walked (ingest outages; see begin_reconnect).
         self.reconnect_attempts = 0
-        self.reconnect_gave_up = False
-
-    def set_display_fps_factor(self, factor: float) -> None:
-        """Device decode capability: fraction of received frames the
-        device manages to display (Galaxy S3 < S4)."""
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
-        self._display_fps_factor = factor
 
     # ------------------------------------------------------------- receiving
 
@@ -76,7 +53,6 @@ class RtmpPlayer:
 
     def on_frame(self, frame: Union[EncodedFrame, AudioFrame], now: float) -> None:
         """One media frame arrived at the phone."""
-        self.frames_received += 1
         if isinstance(frame, AudioFrame):
             return  # video gates playability; audio frames ride along
         self.video_frames.append(frame)
@@ -132,7 +108,7 @@ class RtmpPlayer:
                 return
             delay = schedule.next_delay(now)
             if delay is None:
-                self.reconnect_gave_up = True
+                self.gave_up = True
                 return
             if tel.enabled and tel.causes_on:
                 tel.causes.add("transport.retry_backoff", delay)
@@ -140,24 +116,8 @@ class RtmpPlayer:
 
         first = schedule.next_delay(self.loop.now)
         if first is None:
-            self.reconnect_gave_up = True
+            self.gave_up = True
             return
         if telemetry.enabled and telemetry.causes_on:
             telemetry.causes.add("transport.retry_backoff", first)
         self.loop.schedule(first, attempt)
-
-    # ------------------------------------------------------------- reporting
-
-    def displayed_fps(self, report: PlaybackReport) -> Optional[float]:
-        """Average displayed frame rate: frames the device managed to
-        render over the media span they cover."""
-        if report.playback_s <= 0 or len(self.video_frames) < 2:
-            return None
-        pts = sorted(f.pts for f in self.video_frames)
-        span = pts[-1] - pts[0] + NOMINAL_FRAME_S
-        if span <= 0:
-            return None
-        return len(self.video_frames) * self._display_fps_factor / span
-
-    def finalize(self, end_time: float) -> PlaybackReport:
-        return self.buffer.finalize(end_time)

@@ -1,11 +1,10 @@
-"""Tests for the mitm proxy, reconstruction and inspection pipeline."""
+"""Tests for the capture pipeline: reconstruction and inspection."""
 
 import random
 
 import pytest
 
 from repro.capture.inspector import classify_gop, inspect_frames, qp_bitrate_points
-from repro.capture.mitm import Flow, InlineScript, MitmProxy, RecordingScript
 from repro.capture.reconstruct import (
     classify_flows,
     extract_hls_segments,
@@ -16,62 +15,8 @@ from repro.core.session import SessionSetup, ViewingSession
 from repro.media.content import CONTENT_PROFILES, ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import EncodedFrame
-from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
 from repro.service.selection import DeliveryProtocol
 from tests.test_core_session import make_broadcast, run_captured, session_setup
-
-
-class TestMitmProxy:
-    def upstream(self, request, client):
-        return HttpResponse(HttpStatus.OK, json_body={"path": request.path})
-
-    def test_passthrough(self):
-        proxy = MitmProxy(self.upstream)
-        handler = proxy.handler()
-        resp = handler(HttpRequest("GET", "/x"), "c1")
-        assert resp.json_body == {"path": "/x"}
-        assert len(proxy.flows) == 1
-        assert proxy.flows[0].response is resp
-
-    def test_request_rewrite(self):
-        class Rewrite(InlineScript):
-            def request(self, flow):
-                return HttpRequest("GET", "/rewritten")
-
-        proxy = MitmProxy(self.upstream)
-        proxy.addon(Rewrite())
-        resp = proxy.handler()(HttpRequest("GET", "/original"), "c1")
-        assert resp.json_body == {"path": "/rewritten"}
-
-    def test_short_circuit_response(self):
-        class Block(InlineScript):
-            def request(self, flow):
-                return HttpResponse(HttpStatus.TOO_MANY_REQUESTS, json_body={})
-
-        proxy = MitmProxy(self.upstream)
-        proxy.addon(Block())
-        resp = proxy.handler()(HttpRequest("GET", "/x"), "c1")
-        assert resp.status == HttpStatus.TOO_MANY_REQUESTS
-
-    def test_response_replacement(self):
-        class Replace(InlineScript):
-            def response(self, flow):
-                return HttpResponse(HttpStatus.OK, json_body={"replaced": True})
-
-        proxy = MitmProxy(self.upstream)
-        proxy.addon(Replace())
-        resp = proxy.handler()(HttpRequest("GET", "/x"), "c1")
-        assert resp.json_body == {"replaced": True}
-
-    def test_recording_script_filters(self):
-        proxy = MitmProxy(self.upstream)
-        recorder = RecordingScript(path_filter=lambda p: p.lower().endswith("meta"))
-        proxy.addon(recorder)
-        handler = proxy.handler()
-        handler(HttpRequest("GET", "/playbackMeta"), "c1")
-        handler(HttpRequest("GET", "/other"), "c1")
-        assert len(recorder.requests) == 1
-        assert recorder.requests[0]["path"] == "/playbackMeta"
 
 
 @pytest.fixture(scope="module")

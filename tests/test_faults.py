@@ -289,12 +289,73 @@ class TestFaultedSessions:
         assert qoe.api_retries >= 1
         assert qoe.consistent()
 
+    def test_api_gives_up_gracefully(self):
+        # Nearly every request fails and the budget is two retries per
+        # call: getBroadcasts gives up, so the session never joins, and
+        # the playbackMeta upload gives up too.
+        plan = FaultPlan.parse("api5xx=0.95,retry=0.1:1:2")
+        qoe = run_faulted_session(plan=plan, seed=13).qoe
+        assert qoe.fault_events == ["api-gave-up:getBroadcasts",
+                                    "api-gave-up:playbackMeta"]
+        assert qoe.api_retries == 4
+        assert qoe.join_time_s == qoe.watch_seconds
+        assert qoe.consistent()
+
+    def test_rtmp_reconnect_gives_up(self):
+        import dataclasses
+
+        # A 10-12 s outage with no failover outlasts two 0.1 s retries.
+        plan = dataclasses.replace(
+            FaultPlan.parse("ingest=0.1:10:12,retry=0.1:1:2"),
+            ingest_failover=False,
+        )
+        qoe = run_faulted_session(plan=plan, seed=11).qoe
+        assert qoe.fault_events[-1] == "player-gave-up"
+        assert qoe.disconnects == 1
+        assert qoe.reconnects == 0
+        assert qoe.consistent()
+
     def test_faults_off_matches_plan_none(self):
         baseline = run_session_pickle(None)
         empty = run_session_pickle(FaultPlan.parse("none"))
         # An all-disabled plan draws nothing and changes nothing except
         # the retry wrapper's bookkeeping-free path.
         assert pickle.loads(baseline).stalls == pickle.loads(empty).stalls
+
+
+class TestHlsTransportGiveUp:
+    def test_player_gives_up_on_an_unavailable_origin(self):
+        from repro.netsim.duplex import DuplexStream
+        from repro.player.hls_player import HlsPlayer
+        from repro.protocols.http import (
+            HttpClient, HttpResponse, HttpServer, HttpStatus,
+        )
+
+        loop = EventLoop()
+        net = Network(loop)
+        phone, cdn = net.host("phone"), net.host("cdn")
+        net.duplex(phone, cdn, rate_bps=20 * MBPS, delay_s=0.02)
+        streams = [DuplexStream(loop, net, "phone", "cdn", name=f"s{i}")
+                   for i in range(2)]
+        for stream in streams:
+            HttpServer(loop, stream,
+                       lambda request, client: HttpResponse(
+                           HttpStatus.SERVICE_UNAVAILABLE))
+        player = HlsPlayer(
+            loop,
+            playlist_client=HttpClient(loop, streams[0]),
+            segment_client=HttpClient(loop, streams[1]),
+            playlist_path="/live/playlist.m3u8",
+            broadcast_start=0.0,
+            transport_retry=RetryPolicy(0.1, 1.0, 0.1, 3),
+        )
+        player.start()
+        loop.run_until(10.0)
+        report = player.finalize(10.0)
+        assert player.gave_up
+        assert player.transport_retries == 3
+        assert not report.started
+        assert report.join_time_s == 10.0
 
 
 def run_session_pickle(plan):
