@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro import obs
-from repro.campaign.spec import POPULATION, SWEEP, CellSpec
-from repro.core.popstudy import run_population_cell
+from repro.campaign.spec import POPULATION, SWEEP
+from repro.core.popstudy import PopulationStudy
 from repro.core.study import AutomatedViewingStudy, StudyDataset
+from repro.world.popularity import PopulationParameters
 
 #: Pinned so blob bytes do not depend on the interpreter's default
 #: protocol (which moved 4 -> 5 across supported Python versions).
@@ -70,9 +71,9 @@ def execute_cell(item) -> bytes:
                 bandwidth_limit_mbps=cell.bandwidth_limit_mbps,
             )
         elif cell.kind == POPULATION:
-            population = run_population_cell(
-                config, viewers=cell.viewers, sample_budget=cell.sample_budget
-            )
+            population = PopulationStudy(config, PopulationParameters(
+                viewers=cell.viewers, sample_budget=cell.sample_budget,
+            )).run()
             dataset = population.sampled
             totals = dict(sorted(population.totals.items()))
         else:

@@ -8,7 +8,7 @@ results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -39,9 +39,10 @@ class StudyConfig:
     """Tunable parameters of the reproduction study.
 
     Defaults reproduce the paper's dataset sizes where given, scaled down
-    by :attr:`scale` so the default test/bench runs stay laptop-sized.
-    With ``scale=1.0`` the populations match the paper (4615 QoE
-    sessions, ≈220 K crawled broadcasts).
+    by :attr:`scale` so the default test/bench runs stay laptop-sized:
+    the scale multiplies the live-broadcast population and the sessions
+    per sweep limit.  Fields marked *Ignored* are read by no run; they
+    stay only because campaign cell keys hash every field of this config.
     """
 
     #: Master seed; every subsystem derives independent child streams.
@@ -58,9 +59,11 @@ class StudyConfig:
     # ---------------------------------------------------------------- QoE study
     #: Seconds each broadcast is watched after pressing Teleport (paper: 60 s).
     watch_seconds: float = 60.0
-    #: Unlimited-bandwidth RTMP sessions (paper: 1796).
+    #: Ignored: no run reads it.  Unlimited-bandwidth RTMP sessions
+    #: (paper: 1796); callers pass the batch size to ``run_batch``.
     rtmp_sessions_unlimited: int = 1796
-    #: Unlimited-bandwidth HLS sessions (paper: 1586).
+    #: Ignored: no run reads it.  Unlimited-bandwidth HLS sessions
+    #: (paper: 1586).
     hls_sessions_unlimited: int = 1586
     #: Sessions recorded per bandwidth limit (paper: 18-91; we use the middle).
     sessions_per_limit: int = 54
@@ -71,7 +74,8 @@ class StudyConfig:
     #: Concurrent public live broadcasts with disclosed location (paper
     #: discovers 1 K-4 K in a deep crawl).
     concurrent_broadcasts: int = 2500
-    #: Distinct broadcasts tracked across the targeted crawls (paper: ≈220 K).
+    #: Ignored: no run reads it.  Distinct broadcasts tracked across the
+    #: targeted crawls (paper: ≈220 K).
     tracked_broadcasts: int = 220_000
     #: Viewer threshold above which the service serves a broadcast over HLS
     #: via the CDN (paper estimates ≈100).
@@ -108,11 +112,14 @@ class StudyConfig:
     #: dropping it changes every stored key; it goes with the next
     #: re-pin of the benchmark's golden digests.
     exact_network: bool = False
-    #: Unshaped access bandwidth of the tethered phone (paper: >100 Mbps).
+    #: Ignored: no run reads it.  The session's testbed keeps
+    #: :class:`~repro.core.testbed.TestbedConfig`'s own access bandwidth,
+    #: and :func:`repro.automation.shaping.shaper_for_limit` is what
+    #: reads 100 Mbps as unshaped.
     access_bandwidth_bps: float = 100.0 * MBPS
-    #: One-way propagation delay phone <-> tethering desktop.
+    #: Ignored: no run reads it; the testbed keeps its own delays.
     tether_delay_s: float = 0.001
-    #: One-way propagation delay desktop <-> nearest servers.
+    #: Ignored: no run reads it; the testbed keeps its own delays.
     internet_delay_s: float = 0.020
 
     def scaled(self, count: int, minimum: int = 1) -> int:
@@ -124,10 +131,3 @@ class StudyConfig:
         import dataclasses
 
         return dataclasses.replace(self, scale=scale)
-
-    def limit_bps(self, limit_mbps: float) -> float:
-        """Convert a sweep point to bits/second (100 means unlimited and is
-        returned as the unshaped access bandwidth)."""
-        if limit_mbps >= 100.0:
-            return self.access_bandwidth_bps
-        return limit_mbps * MBPS

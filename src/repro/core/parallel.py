@@ -2,19 +2,20 @@
 
 Every process fan-out in the repo goes through :func:`run_tasks`: an
 index-ordered map of a module-level callable over picklable, hermetic
-items, run inline when there is nothing to fan out.  Every pooled
-session goes through :func:`run_setups`, which needs nothing from the
-worker process but its arguments — there is no worker bootstrap.
+items, run inline when there is nothing to fan out.  Every study
+session, at every worker count, goes through :func:`run_setups`, which
+needs nothing from the worker process but its arguments — a worker
+only switches telemetry off when it starts.
 
 The automated-viewing study runs in two phases (see
 :meth:`~repro.core.study.AutomatedViewingStudy.run_batch`): phase one
 samples every :class:`~repro.core.session.SessionSetup` serially — world
 evolution and the teleport RNG stay on one thread, so the sampled
 population is byte-for-byte the same regardless of worker count — and
-phase two executes the expensive :meth:`ViewingSession.run` calls,
-fanned out by :func:`run_sessions` in contiguous chunks.
+phase two executes the expensive :meth:`ViewingSession.run` calls
+through :func:`run_sessions`, inline or fanned out in contiguous chunks.
 
-Why pooled results are bit-identical to the serial path:
+Why results are bit-identical at every worker count:
 
 * each session owns a private :class:`~repro.netsim.events.EventLoop`
   and derives every RNG stream from its own ``setup.seed``;
@@ -25,7 +26,7 @@ Why pooled results are bit-identical to the serial path:
 * telemetry never feeds back into simulation state, and each session
   records into private instruments whose snapshot the parent folds in
   session order with :meth:`~repro.obs.Telemetry.merge` — so the merged
-  telemetry is the same for every worker count.
+  telemetry is the same bytes for every worker count.
 
 A task that raises propagates the exception to the parent through
 ``Future.result()`` — a poisoned setup fails the batch loudly instead of
@@ -54,11 +55,11 @@ CHUNKS_PER_WORKER = 4
 
 @dataclass
 class SessionResult:
-    """The slim, picklable per-session outcome a worker ships back.
+    """The slim, picklable per-session outcome of :func:`run_setups`.
 
     Exactly what :class:`~repro.core.study.StudyDataset` keeps — the
     rest of :class:`SessionArtifacts` (raw playbackMeta, chat counters)
-    never crosses the process boundary.
+    never leaves the executor, inline or across the process boundary.
     """
 
     qoe: SessionQoE
@@ -133,8 +134,9 @@ def run_sessions(
     *,
     workers: int,
 ) -> Tuple[List[SessionResult], List[dict]]:
-    """:func:`run_setups` fanned out over ``workers`` processes in
-    contiguous chunks.  Results and per-session snapshots come back in
+    """:func:`run_setups` over contiguous chunks, fanned out over
+    ``workers`` processes or run inline below two (see
+    :func:`run_tasks`).  Results and per-session snapshots come back in
     input order, exactly as one :func:`run_setups` call would return
     them; worker exceptions re-raise here, in the parent."""
     chunks = [
@@ -182,13 +184,16 @@ def run_tasks(
     With ``workers < 2`` or fewer than two items there is nothing to fan
     out: the items run inline, one after the other, through the same
     shim — same results, same ``on_result`` order, same ``task_index``.
+    A pool worker starts with telemetry off, so a task never records
+    into the copy of the parent's telemetry that ``fork`` gave it.
     """
     if workers < 2 or len(items) < 2:
         return _collect(
             (_run_task(func, index, item) for index, item in enumerate(items)),
             on_result,
         )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=obs.deactivate) as pool:
         futures = [
             pool.submit(_run_task, func, index, item)
             for index, item in enumerate(items)

@@ -84,8 +84,6 @@ def setup_for(
         device=_DEVICES_BY_NAME[request.device_name],
         bandwidth_limit_mbps=request.bandwidth_limit_mbps,
         watch_seconds=request.watch_seconds,
-        chat_ui_on=True,
-        cache_avatars=False,
         seed=request.session_seed,
         faults=faults,
     )
@@ -131,25 +129,6 @@ class PopulationResult:
         return aggregate.join_seconds / aggregate.sessions
 
 
-def run_population_cell(
-    config: StudyConfig,
-    viewers: int,
-    sample_budget: int = 16,
-    workers: int = 1,
-) -> "PopulationResult":
-    """One campaign-sized population unit: a full world advance at a
-    viewer count, defaulting to serial execution.
-
-    The memoization quantum of a ``population`` campaign cell
-    (:mod:`repro.campaign`): everything the result depends on is in
-    ``(config, viewers, sample_budget)`` — ``workers`` only picks the
-    execution strategy, which the shard/worker-invariance suite proves
-    is result-free.
-    """
-    params = PopulationParameters(viewers=viewers, sample_budget=sample_budget)
-    return PopulationStudy(config, params).run(workers=workers)
-
-
 class PopulationStudy:
     """Mesoscale study driver: cohort masses + stratified exact anchors.
 
@@ -173,13 +152,9 @@ class PopulationStudy:
                           causes=config.causes_enabled,
                           health=config.health_enabled)
 
-    def run(
-        self,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-    ) -> PopulationResult:
+    def run(self, shards: Optional[int] = None) -> PopulationResult:
         """Advance the whole world and collect the anchored sample."""
-        workers = self.config.workers if workers is None else workers
+        workers = self.config.workers
         telemetry = obs.active()
         metrics_on = telemetry.enabled and telemetry.metrics_on
 

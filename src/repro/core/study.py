@@ -1,26 +1,27 @@
 """Dataset 2: the automated-viewing study (Section 5).
 
-Drives the adb Teleport loop against the simulated service: each session
-teleports to a (popularity-biased) random broadcast, watches 60 seconds,
-and records QoE.  The study alternates the two phones, advances the
-service world between sessions, and runs the ``tc`` bandwidth sweep the
-paper uses for Figures 3(b) and 4.
+The paper's adb Teleport loop against the simulated service, with
+:mod:`repro.core.session` as one iteration of it: each session teleports
+to a (popularity-biased) random broadcast, watches 60 seconds, and
+records QoE.  The study alternates the two phones, advances the service
+world between sessions, and runs the ``tc`` bandwidth sweep the paper
+uses for Figures 3(b) and 4.  Every batch runs its sessions through
+:func:`repro.core.parallel.run_sessions`, at any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.automation.devices import GALAXY_S3, GALAXY_S4, DeviceProfile
+from repro.automation.devices import GALAXY_S3, GALAXY_S4
 from repro.core.config import StudyConfig
 from repro.core.parallel import SessionResult, run_sessions
 from repro.core.qoe import SessionQoE
-from repro.core.session import SessionArtifacts, SessionSetup, ViewingSession
+from repro.core.session import SessionSetup
 from repro.service.ingest import IngestPool
 from repro.service.selection import DeliveryProtocol, select_protocol
 from repro.service.world import ServiceWorld, WorldParameters
@@ -99,8 +100,6 @@ class AutomatedViewingStudy:
     def _next_setup(
         self,
         bandwidth_limit_mbps: float,
-        chat_ui_on: bool = True,
-        cache_avatars: bool = False,
         forced_protocol: Optional[DeliveryProtocol] = None,
     ) -> Optional[SessionSetup]:
         """Advance the world one cadence step and teleport."""
@@ -131,16 +130,10 @@ class AutomatedViewingStudy:
             device=device,
             bandwidth_limit_mbps=bandwidth_limit_mbps,
             watch_seconds=self.config.watch_seconds,
-            chat_ui_on=chat_ui_on,
-            cache_avatars=cache_avatars,
             seed=child_rng(self.config.seed, "session", self._session_counter)
             .getrandbits(48),
             faults=self.config.faults,
         )
-
-    def run_session(self, setup: SessionSetup) -> SessionArtifacts:
-        """Execute one prepared session."""
-        return ViewingSession(setup, ingest=self.ingest).run()
 
     # ----------------------------------------------------------------- runs
 
@@ -148,22 +141,20 @@ class AutomatedViewingStudy:
         self,
         n_sessions: int,
         bandwidth_limit_mbps: float = 100.0,
-        chat_ui_on: bool = True,
-        cache_avatars: bool = False,
         forced_protocol: Optional[DeliveryProtocol] = None,
-        workers: Optional[int] = None,
     ) -> StudyDataset:
         """Run ``n_sessions`` Teleport sessions at one bandwidth limit.
 
         Two phases.  **Sampling** always runs serially on this thread:
         world evolution and the teleport RNG are the only order-sensitive
         state, so the sampled setups are identical for every worker
-        count.  **Execution** runs the sampled sessions either inline
-        (``workers`` <= 1) or fanned out over a process pool
-        (:mod:`repro.core.parallel`); each session is hermetic given its
-        setup, so both paths produce bit-identical datasets.
+        count.  **Execution** hands the sampled setups to
+        :func:`~repro.core.parallel.run_sessions`, inline or over
+        ``config.workers`` processes, and folds the results and
+        per-session telemetry back in session order; each session is
+        hermetic given its setup, so the dataset and the merged
+        telemetry are the same bytes at every worker count.
         """
-        workers = self.config.workers if workers is None else workers
         telemetry = obs.active()
         metrics_on = telemetry.enabled and telemetry.metrics_on
         limit_label = f"{bandwidth_limit_mbps:g}"
@@ -173,12 +164,7 @@ class AutomatedViewingStudy:
         attempts = 0
         while len(setups) < n_sessions and attempts < n_sessions * 4:
             attempts += 1
-            setup = self._next_setup(
-                bandwidth_limit_mbps,
-                chat_ui_on=chat_ui_on,
-                cache_avatars=cache_avatars,
-                forced_protocol=forced_protocol,
-            )
+            setup = self._next_setup(bandwidth_limit_mbps, forced_protocol)
             if metrics_on:
                 telemetry.metrics.counter(
                     "study_teleport_attempts_total",
@@ -208,49 +194,26 @@ class AutomatedViewingStudy:
                 ).inc(dataset.shortfall)
 
         # ---- phase 2: session execution ---------------------------------
-        if workers > 1 and len(setups) > 1:
-            results, snapshots = run_sessions(
-                self.config, obs.TelemetrySpec.of(telemetry), setups,
-                workers=workers,
-            )
-            for snapshot in snapshots:
-                telemetry.merge(snapshot)
-            for result in results:
-                dataset.add(result)
-            if metrics_on and results:
-                self._count_sessions(telemetry, limit_label, dataset,
-                                     len(results))
-            return dataset
-        for setup in setups:
-            artifacts = self.run_session(setup)
-            dataset.sessions.append(artifacts.qoe)
-            dataset.avatar_bytes.append(artifacts.avatar_bytes)
-            dataset.down_bytes.append(artifacts.total_down_bytes)
-            if metrics_on:
-                self._count_sessions(telemetry, limit_label, dataset, 1)
-        return dataset
-
-    @staticmethod
-    def _count_sessions(telemetry, limit_label, dataset, completed) -> None:
-        """Record ``completed`` more sessions toward the limit's target."""
-        metrics = telemetry.metrics
-        metrics.counter(
-            "study_sessions_total", "Study sessions completed",
-            limit=limit_label,
-        ).inc(completed)
-        metrics.gauge(
-            "study_limit_progress",
-            "Sessions completed toward the per-limit target",
-            limit=limit_label,
-        ).set(float(len(dataset.sessions)))
-
-    def run_unlimited(self, n_sessions: Optional[int] = None) -> StudyDataset:
-        """The unshaped dataset (paper: 1796 RTMP + 1586 HLS sessions)."""
-        count = n_sessions if n_sessions is not None else self.config.scaled(
-            self.config.rtmp_sessions_unlimited + self.config.hls_sessions_unlimited,
-            minimum=20,
+        results, snapshots = run_sessions(
+            self.config, obs.TelemetrySpec.of(telemetry), setups,
+            workers=self.config.workers,
         )
-        return self.run_batch(count, bandwidth_limit_mbps=100.0)
+        for snapshot in snapshots:
+            telemetry.merge(snapshot)
+        for result in results:
+            dataset.add(result)
+        if metrics_on and results:
+            metrics = telemetry.metrics
+            metrics.counter(
+                "study_sessions_total", "Study sessions completed",
+                limit=limit_label,
+            ).inc(len(results))
+            metrics.gauge(
+                "study_limit_progress",
+                "Sessions completed toward the per-limit target",
+                limit=limit_label,
+            ).set(float(len(dataset.sessions)))
+        return dataset
 
     def run_bandwidth_sweep(
         self,

@@ -17,7 +17,7 @@ crawler/core -> experiments/analysis``)::
     netsim                event loop, links, topology (pure infrastructure)
     protocols             wire formats; read media frame types and run
                           over netsim streams
-    automation, capture   testbed scripting / traffic reconstruction
+    automation, capture   testbed devices and clocks / traffic reconstruction
     service               the simulated Periscope backend
     player                client-side playback
     world                 mesoscale viewer cohorts over the service
@@ -103,9 +103,9 @@ SIM_PACKAGES = frozenset(
 #: The only modules allowed to import ``multiprocessing`` /
 #: ``concurrent.futures`` (L304).  Process fan-out must stay behind
 #: :func:`repro.core.parallel.run_tasks`, which dispatches hermetic
-#: tasks with no worker bootstrap and merges them in index order —
-#: ad-hoc pools elsewhere would have none of that and silently break
-#: bit-identical replays.
+#: tasks to workers that only switch telemetry off, and merges them in
+#: index order — ad-hoc pools elsewhere would have none of that and
+#: silently break bit-identical replays.
 PROCESS_POOL_MODULES = frozenset({"repro.core.parallel"})
 
 

@@ -29,9 +29,12 @@ consume RNG or schedule events, so enabling them cannot change
 simulation results — the determinism regression test holds the repo to
 that.
 
-Pooled work records through :func:`capture`: each unit gets private
-instruments named by a picklable :class:`TelemetrySpec`, and the
-parent folds the returned snapshot in with :meth:`Telemetry.merge`.
+Every study session records through :func:`capture`, inline or in a
+pool worker: each unit gets private instruments named by a picklable
+:class:`TelemetrySpec`, and the parent folds the returned snapshot in
+with :meth:`Telemetry.merge`.  An inline unit also traces and profiles
+into the caller's tracer and profiler; a pool worker starts with
+telemetry off, so its units do neither.
 """
 
 from __future__ import annotations
@@ -219,20 +222,28 @@ def session(
 def capture(spec: TelemetrySpec) -> Iterator[dict]:
     """Record one unit of work into private instruments.
 
-    Installs fresh instruments for the surfaces ``spec`` names — or the
-    disabled default when it names none, so nothing the unit does lands
-    in the caller's telemetry — and restores the caller's on exit.  The
-    yielded dict is filled on a clean exit with one snapshot per named
-    surface (``"metrics"``, ``"causes"``, ``"health"``, in that order),
-    ready for :meth:`Telemetry.merge`.
+    Installs fresh instruments for the surfaces ``spec`` names, and
+    restores the caller's telemetry on exit.  Tracing and profiling are
+    the caller's: when those are on, the unit writes spans and callback
+    sites straight into the caller's tracer and profiler.  Neither is
+    ever shipped between processes, so in a pool worker, which starts
+    with telemetry off, the unit records neither.  With nothing on, the
+    unit runs under the disabled default, so nothing it does lands in
+    the caller's telemetry.  The yielded dict is filled on a clean exit
+    with one snapshot per named surface (``"metrics"``, ``"causes"``,
+    ``"health"``, in that order), ready for :meth:`Telemetry.merge`.
     """
     global _active
     previous = _active
     telemetry = _DISABLED
-    if spec.metrics or spec.causes or spec.health:
-        telemetry = Telemetry(metrics=spec.metrics, tracing=False,
-                              profiling=False, causes=spec.causes,
-                              health=spec.health)
+    if (spec.metrics or spec.causes or spec.health
+            or previous.tracing_on or previous.profiling_on):
+        telemetry = Telemetry(metrics=spec.metrics,
+                              tracing=previous.tracing_on,
+                              profiling=previous.profiling_on,
+                              causes=spec.causes, health=spec.health)
+        telemetry.tracer = previous.tracer
+        telemetry.profiler = previous.profiler
     _active = telemetry
     snapshot: dict = {}
     try:

@@ -46,7 +46,6 @@ class HlsPlayer(Player):
         broadcast_start: float,
         session_start: float = 0.0,
         capture_clock_error_s: float = 0.0,
-        vod: bool = False,
         transport_retry: RetryPolicy = HLS_TRANSPORT_RETRY,
         retry_rng: Optional[random.Random] = None,
     ) -> None:
@@ -61,9 +60,6 @@ class HlsPlayer(Player):
         #: bounded exponential policy with seeded jitter.
         self.transport_retry = transport_retry
         self._retry_rng = retry_rng
-        #: Replay ("not live") sessions start from the first segment of an
-        #: ended playlist instead of joining at the live edge.
-        self.vod = vod
         self.stopped = False
         self.segments_fetched: List[HlsSegment] = []
         self._consecutive_errors = 0
@@ -136,12 +132,8 @@ class HlsPlayer(Player):
             self.loop.schedule(PLAYLIST_RETRY_S, self._request_playlist)
             return
         if self._next_sequence is None:
-            if self.vod:
-                # Replay: start from the beginning of the recording.
-                self._next_sequence = playlist.entries[0].sequence
-            else:
-                # Join at the live edge: the newest published segment.
-                self._next_sequence = playlist.entries[-1].sequence
+            # Join at the live edge: the newest published segment.
+            self._next_sequence = playlist.entries[-1].sequence
         self._pump_segment_fetch()
 
     # -------------------------------------------------------------- segments

@@ -18,7 +18,6 @@ from repro.service.chat import ChatFeed, ChatMessage
 from repro.service.delivery import (
     HlsOrigin,
     LiveSourceDriver,
-    ReplayOrigin,
     RtmpDelivery,
     UplinkModel,
 )
@@ -26,7 +25,6 @@ from repro.service.delivery import (
 __all__ = [
     "HlsOrigin",
     "LiveSourceDriver",
-    "ReplayOrigin",
     "RtmpDelivery",
     "UplinkModel",
     "GeoPoint",

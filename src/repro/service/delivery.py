@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -28,9 +28,9 @@ from repro.media.audio import AacEncoderModel
 from repro.media.content import ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import AudioFrame, EncodedFrame
-from repro.media.segmenter import HlsSegment, HlsSegmenter
+from repro.media.segmenter import HlsSegment
 from repro.netsim.events import EventLoop
-from repro.protocols.hls import LiveWindow, MediaPlaylist
+from repro.protocols.hls import LiveWindow
 from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
 from repro.protocols.mpegts import mux_segment
 from repro.protocols.rtmp import RtmpPushSession
@@ -323,40 +323,7 @@ class RtmpDelivery:
         self.push.push_frame(frame)
 
 
-class _CdnOrigin:
-    """The CDN HTTP handler both origins share: playlist requests answer
-    from ``self.window``, segment requests from ``self._segments``."""
-
-    window: LiveWindow
-    byte_fidelity: bool
-    _segments: Dict[str, HlsSegment]
-
-    def handle(self, request: HttpRequest, identity: str) -> HttpResponse:
-        """HTTP handler for the CDN edge."""
-        if request.method != "GET":
-            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "GET only"})
-        if request.path.endswith("playlist.m3u8"):
-            playlist = self.window.playlist()
-            return HttpResponse(
-                HttpStatus.OK,
-                body_bytes=playlist.nbytes,
-                payload=playlist,
-            )
-        uri = request.path.rsplit("/", 1)[-1]
-        segment = self._segments.get(uri)
-        if segment is None:
-            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "no such segment"})
-        if self.byte_fidelity:
-            data = mux_segment(segment.video_frames, segment.audio_frames)
-            return HttpResponse(HttpStatus.OK, data=data, payload=segment)
-        return HttpResponse(
-            HttpStatus.OK,
-            body_bytes=int(segment.nbytes * TS_OVERHEAD_FACTOR),
-            payload=segment,
-        )
-
-
-class HlsOrigin(_CdnOrigin):
+class HlsOrigin:
     """Packager + CDN origin for one broadcast.
 
     Completed segments incur ``packaging_delay_s`` (repackaging and
@@ -454,55 +421,28 @@ class HlsOrigin(_CdnOrigin):
         self.window.add_segment(uri, max(segment.duration_s, 0.04))
         self.segments_published += 1
 
+    # ------------------------------------------------------------------- CDN
 
-class ReplayOrigin(_CdnOrigin):
-    """Replay ("available for replay") serving: the recorded broadcast as
-    an ended VOD playlist.
-
-    Built by segmenting the whole recording up front — what the backend
-    does when a broadcast ends — and served by the same CDN handler as
-    :class:`HlsOrigin`.  Viewing a replay is the paper's
-    "Video on (not live)" state.
-    """
-
-    def __init__(
-        self,
-        broadcast: Broadcast,
-        duration_s: float,
-        target_segment_s: float = 3.6,
-        byte_fidelity: bool = False,
-    ) -> None:
-        if duration_s <= 0:
-            raise ValueError("replay duration must be positive")
-        if not broadcast.available_for_replay:
-            raise ValueError("broadcast is not available for replay")
-        self.broadcast = broadcast
-        self.byte_fidelity = byte_fidelity
-        content = ContentProcess(
-            broadcast.content_profile, child_rng(broadcast.seed, "content")
+    def handle(self, request: HttpRequest, identity: str) -> HttpResponse:
+        """HTTP handler for the CDN edge."""
+        if request.method != "GET":
+            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "GET only"})
+        if request.path.endswith("playlist.m3u8"):
+            playlist = self.window.playlist()
+            return HttpResponse(
+                HttpStatus.OK,
+                body_bytes=playlist.nbytes,
+                payload=playlist,
+            )
+        uri = request.path.rsplit("/", 1)[-1]
+        segment = self._segments.get(uri)
+        if segment is None:
+            return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "no such segment"})
+        if self.byte_fidelity:
+            data = mux_segment(segment.video_frames, segment.audio_frames)
+            return HttpResponse(HttpStatus.OK, data=data, payload=segment)
+        return HttpResponse(
+            HttpStatus.OK,
+            body_bytes=int(segment.nbytes * TS_OVERHEAD_FACTOR),
+            payload=segment,
         )
-        encoder = VideoEncoder(
-            EncoderSettings(target_bps=broadcast.target_bitrate_bps, gop=broadcast.gop),
-            content,
-            child_rng(broadcast.seed, "encoder"),
-        )
-        video = encoder.encode_all(duration_s)
-        audio = AacEncoderModel(
-            child_rng(broadcast.seed, "audio"), nominal_bps=broadcast.audio_bitrate_bps
-        ).encode_all(duration_s)
-        self._segments: Dict[str, HlsSegment] = {}
-        entries = []
-        for segment in HlsSegmenter(target_segment_s).segment(video, audio):
-            uri = f"replay{segment.sequence}.ts"
-            self._segments[uri] = segment
-            entries.append((uri, max(segment.duration_s, 0.04)))
-        window = LiveWindow(target_duration_s=target_segment_s,
-                            window_size=max(1, len(entries)))
-        for uri, seg_duration in entries:
-            window.add_segment(uri, seg_duration)
-        window.end_stream()
-        self.window = window
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)

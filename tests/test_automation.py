@@ -1,10 +1,9 @@
-"""Tests for device profiles, clocks, shaping and the adb loop."""
+"""Tests for device profiles, clocks and shaping."""
 
 import random
 
 import pytest
 
-from repro.automation.adb import AdbViewingScript, TAP_OVERHEAD_S
 from repro.automation.devices import DEVICES, GALAXY_S3, GALAXY_S4, DeviceProfile
 from repro.automation.ntp import (
     BROADCASTER_PHONE_CLOCK,
@@ -13,8 +12,6 @@ from repro.automation.ntp import (
     NtpSyncedClock,
 )
 from repro.automation.shaping import shaper_for_limit
-from repro.core.config import StudyConfig
-from repro.core.study import AutomatedViewingStudy
 
 
 class TestDevices:
@@ -68,35 +65,3 @@ class TestShaping:
     def test_validation(self):
         with pytest.raises(ValueError):
             shaper_for_limit(0.0)
-
-
-class TestAdbScript:
-    @pytest.fixture(scope="class")
-    def log(self):
-        study = AutomatedViewingStudy(StudyConfig(seed=321))
-        script = AdbViewingScript(study)
-        return script.run(3, watch_seconds=60.0)
-
-    def test_sessions_collected(self, log):
-        assert len(log.dataset.sessions) == 3
-
-    def test_tap_sequence_per_session(self, log):
-        # teleport -> wait -> close -> home, repeated.
-        assert len(log.taps("tap_teleport")) >= 3
-        assert len(log.taps("wait")) == 3
-        assert len(log.taps("tap_home")) == 3
-
-    def test_events_in_time_order(self, log):
-        times = [e.at for e in log.events]
-        assert times == sorted(times)
-
-    def test_cadence_roughly_70s(self, log):
-        waits = log.taps("wait")
-        if len(waits) >= 2:
-            gap = waits[1].at - waits[0].at
-            assert 60.0 < gap < 90.0
-
-    def test_validation(self):
-        study = AutomatedViewingStudy(StudyConfig(seed=3))
-        with pytest.raises(ValueError):
-            AdbViewingScript(study).run(0)

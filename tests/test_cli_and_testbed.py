@@ -13,7 +13,6 @@ from repro.core.testbed import (
 from repro.experiments.__main__ import DRIVERS, build_parser, main
 from repro.netsim.events import EventLoop
 from repro.service.geo import GeoPoint
-from repro.util.units import MBPS
 
 
 class TestCli:
@@ -48,11 +47,6 @@ class TestStudyConfig:
         assert bigger.scale == 1.0
         assert base.scale == 0.05
         assert bigger.seed == base.seed
-
-    def test_limit_bps(self):
-        config = StudyConfig()
-        assert config.limit_bps(2.0) == pytest.approx(2e6)
-        assert config.limit_bps(100.0) == config.access_bandwidth_bps
 
 
 class TestPathDelay:

@@ -1,12 +1,12 @@
 """Tests for process-parallel session execution (repro.core.parallel).
 
-The headline guarantee: a parallel study batch is *bit-identical* to the
-serial one — same sessions, same order, same bytes — because sampling is
-serial and each session is hermetic given its setup.
+The headline guarantee: a study batch is *bit-identical* at every worker
+count — same sessions, same order, same bytes, same merged telemetry —
+because sampling is serial, each session is hermetic given its setup,
+and every batch runs its sessions through the one executor.
 """
 
 import json
-import math
 import pickle
 
 import pytest
@@ -25,8 +25,8 @@ N_SESSIONS = 4
 
 
 def run_study(workers):
-    study = AutomatedViewingStudy(StudyConfig(seed=SEED))
-    return study.run_batch(N_SESSIONS, workers=workers)
+    study = AutomatedViewingStudy(StudyConfig(seed=SEED, workers=workers))
+    return study.run_batch(N_SESSIONS)
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,10 @@ FAULT_PLAN_SPEC = "loss=0.02,jitter=0.005,ingest=0.03:1:2,api5xx=0.1"
 def run_faulted_study(workers):
     from repro.faults import FaultPlan
 
-    study = AutomatedViewingStudy(
-        StudyConfig(seed=SEED, faults=FaultPlan.parse(FAULT_PLAN_SPEC))
-    )
-    return study.run_batch(N_SESSIONS, workers=workers)
+    study = AutomatedViewingStudy(StudyConfig(
+        seed=SEED, workers=workers, faults=FaultPlan.parse(FAULT_PLAN_SPEC),
+    ))
+    return study.run_batch(N_SESSIONS)
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +82,12 @@ def _faulted_batch_telemetry(workers):
     from repro.faults import FaultPlan
 
     study = AutomatedViewingStudy(StudyConfig(
-        seed=SEED, watch_seconds=8.0, faults=FaultPlan.parse(FAULT_PLAN_SPEC),
+        seed=SEED, watch_seconds=8.0, workers=workers,
+        faults=FaultPlan.parse(FAULT_PLAN_SPEC),
     ))
     with obs.session(metrics=True, tracing=False, profiling=False,
                      causes=True, health=True) as telemetry:
-        dataset = study.run_batch(9, bandwidth_limit_mbps=2.0, workers=workers)
+        dataset = study.run_batch(9, bandwidth_limit_mbps=2.0)
     assert len(dataset.sessions) == 9
     return {
         "metrics": telemetry.metrics.snapshot(),
@@ -101,52 +102,58 @@ def batch_telemetry():
 
 
 def test_merged_telemetry_is_worker_count_invariant(batch_telemetry):
-    """Snapshots are taken per session, not per chunk, so the parent's
-    fold — float accumulation order included — is the same however the
-    batch was chunked.  Compared as JSON text (floats print exactly): a
-    pickle would also encode which strings happen to be shared objects."""
-    assert batch_telemetry[2]["causes"]["ledger"], "attribution was off"
-    assert (json.dumps(batch_telemetry[2], sort_keys=True)
-            == json.dumps(batch_telemetry[4], sort_keys=True))
+    """Snapshots are taken per session, not per chunk, and an inline
+    batch folds them exactly as a pooled one does, so the parent's fold
+    — float accumulation order included — is the same at 1, 2 and 4
+    workers.  Compared as JSON text (floats print exactly): a pickle
+    would also encode which strings happen to be shared objects."""
+    assert batch_telemetry[1]["causes"]["ledger"], "attribution was off"
+    inline = json.dumps(batch_telemetry[1], sort_keys=True)
+    for workers in (2, 4):
+        assert json.dumps(batch_telemetry[workers], sort_keys=True) == inline
 
 
-def _series(snapshot):
-    """(family, labels) -> (kind, child entry) over a metrics snapshot."""
-    return {
-        (family["name"], repr(child["labels"])): (family["kind"], child)
-        for family in snapshot["families"]
-        for child in family["children"]
-    }
+def _traced_batch(workers):
+    """The session spans and profiled callback sites a 2-session batch
+    leaves in the caller's tracer and profiler."""
+    study = AutomatedViewingStudy(StudyConfig(
+        seed=SEED, watch_seconds=4.0, workers=workers,
+    ))
+    with obs.session(metrics=False, tracing=True,
+                     profiling=True) as telemetry:
+        dataset = study.run_batch(2)
+    assert len(dataset.sessions) == 2
+    return (len(telemetry.tracer.find("session")),
+            set(telemetry.profiler.sites))
 
 
-def test_pooled_metrics_equal_the_serial_batch(batch_telemetry):
-    """The serial loop records straight into the parent registry; the
-    pooled fold adds the same events per session.  Counts agree exactly;
-    float seconds totals differ only by summation order."""
-    serial = _series(batch_telemetry[1]["metrics"])
-    pooled = _series(batch_telemetry[2]["metrics"])
-    assert pooled.keys() == serial.keys()
-    checked = 0
-    for key, (kind, child) in serial.items():
-        other = pooled[key][1]
-        if kind == "histogram":
-            assert other["count"] == child["count"], key
-            assert other["bucket_counts"] == child["bucket_counts"], key
-        elif kind == "counter" and key[0].endswith("_seconds_total"):
-            assert math.isclose(other["value"], child["value"],
-                                rel_tol=1e-9), key
-        elif kind == "counter":
-            assert other["value"] == child["value"], key
-        else:
-            continue
-        checked += 1
-    assert checked > 0
+def test_inline_batch_traces_and_profiles_into_the_caller():
+    """An inline batch runs its sessions under obs.capture, which keeps
+    the caller's tracer and profiler: every session leaves its span and
+    its callback sites.  Pool workers start with telemetry off, so a
+    pooled batch leaves neither."""
+    spans, sites = _traced_batch(workers=1)
+    assert spans == 2
+    assert "session:_push_chat" in sites
+    assert _traced_batch(workers=2) == (0, set())
+
+
+def _telemetry_enabled(_item):
+    return obs.active().enabled
+
+
+def test_pool_workers_start_with_telemetry_off():
+    """A forked worker would otherwise inherit a live copy of the
+    parent's telemetry and record into it, where nobody reads it."""
+    with obs.session():
+        assert run_tasks(_telemetry_enabled, [0, 1], workers=2) == \
+            [False, False]
 
 
 def test_parallel_metrics_fold_into_parent():
-    study = AutomatedViewingStudy(StudyConfig(seed=SEED))
+    study = AutomatedViewingStudy(StudyConfig(seed=SEED, workers=2))
     with obs.session(metrics=True, tracing=False, profiling=False) as telemetry:
-        ds = study.run_batch(N_SESSIONS, workers=2)
+        ds = study.run_batch(N_SESSIONS)
         counter = telemetry.metrics.get("study_sessions_total", limit="100")
         assert counter is not None
         assert counter.value == float(len(ds.sessions))

@@ -159,51 +159,50 @@ def _dataset_bytes(dataset) -> tuple:
     )
 
 
-class _CountingStudy(AutomatedViewingStudy):
-    """A study that keeps each serial session's event count: the exact
-    path fires one loop callback per packet per hop, so its counts show
+#: The unwrapped method, so that every counting wrapper calls it and
+#: never a wrapper installed by an earlier call.
+_VIEWING_SESSION_RUN = ViewingSession.run
+
+
+def _study_run(seed: int, faulted: bool, workers: int, monkeypatch):
+    """One three-session batch: its dataset fingerprint and, for each
+    session that ran in this process, its loop event count.  The exact
+    path fires one loop callback per packet per hop, so the counts show
     which path a run took."""
+    events_processed = []
 
-    def __init__(self, config: StudyConfig) -> None:
-        super().__init__(config)
-        self.events_processed = []
-
-    def run_session(self, setup):
-        session = ViewingSession(setup, ingest=self.ingest)
-        artifacts = session.run()
-        self.events_processed.append(session.loop.events_processed)
+    def counting_run(session):
+        artifacts = _VIEWING_SESSION_RUN(session)
+        events_processed.append(session.loop.events_processed)
         return artifacts
 
-
-def _study_run(seed: int, faulted: bool, workers: int):
-    """One three-session batch: its dataset fingerprint and, when it ran
-    serially, each session's loop event count."""
-    study = _CountingStudy(StudyConfig(
+    monkeypatch.setattr(ViewingSession, "run", counting_run)
+    study = AutomatedViewingStudy(StudyConfig(
         seed=seed,
         watch_seconds=6.0,
         workers=workers,
         faults=FaultPlan.parse(FAULT_SPEC) if faulted else None,
     ))
     dataset = study.run_batch(3, bandwidth_limit_mbps=2.0)
-    return _dataset_bytes(dataset), study.events_processed
+    return _dataset_bytes(dataset), events_processed
 
 
 class TestStudyIdentityAcrossWorkers:
-    """pooled fast == serial fast == serial exact for whole batches."""
+    """pooled fast == inline fast == inline exact for whole batches."""
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["pristine", "faulted"])
-    def test_workers_and_modes_agree(self, faulted):
+    def test_workers_and_modes_agree(self, faulted, monkeypatch):
         seed = 2016
-        reference, fast_events = _study_run(seed, faulted, workers=1)
+        reference, fast_events = _study_run(seed, faulted, 1, monkeypatch)
         with fastpath.exact_network():
-            exact, exact_events = _study_run(seed, faulted, workers=1)
+            exact, exact_events = _study_run(seed, faulted, 1, monkeypatch)
         assert exact == reference
         # The exact side really ran per packet: every session fired more
         # loop events than its fast twin.
         assert len(exact_events) == len(fast_events) == 3
         assert all(e > f for e, f in zip(exact_events, fast_events))
         for workers in (2, 4):
-            assert _study_run(seed, faulted, workers=workers)[0] == reference
+            assert _study_run(seed, faulted, workers, monkeypatch)[0] == reference
 
 
 def test_exact_network_restores_the_mode_when_its_body_raises():
