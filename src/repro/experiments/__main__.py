@@ -188,6 +188,10 @@ def main(argv: Optional[list] = None) -> int:
         return 0
     causes_on = args.explain is not None or args.explain_jsonl is not None
     health_on = args.health is not None
+    if args.workers > 1 and (args.trace_out is not None or args.metrics is not None):
+        print(f"note: --workers {args.workers}: sessions run in pool workers "
+              f"record no spans or profiler sites; the trace and the profile "
+              f"cover only batches run inline", file=sys.stderr)
     telemetry: Optional[obs.Telemetry] = None
     if (args.metrics is not None or args.trace_out is not None
             or causes_on or health_on):

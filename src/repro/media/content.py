@@ -11,6 +11,8 @@ average scene).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -49,18 +51,18 @@ CONTENT_PROFILES: Dict[str, ContentProfile] = {
 }
 
 
+_PROFILES = list(CONTENT_PROFILES.values())
+_PROFILE_WEIGHT_TOTAL = sum([p.weight for p in _PROFILES])
+#: Running sums of the genre weights, added one by one as a linear scan
+#: would: a pick lands on the first genre whose running sum exceeds it.
+_PROFILE_CUMULATIVE = list(itertools.accumulate(p.weight for p in _PROFILES))
+
+
 def pick_profile(rng: random.Random) -> ContentProfile:
     """Draw a genre according to its prevalence weight."""
-    profiles = list(CONTENT_PROFILES.values())
-    weights = [p.weight for p in profiles]
-    total = sum(weights)
-    pick = rng.random() * total
-    acc = 0.0
-    for profile, weight in zip(profiles, weights):
-        acc += weight
-        if pick < acc:
-            return profile
-    return profiles[-1]
+    pick = rng.random() * _PROFILE_WEIGHT_TOTAL
+    index = bisect.bisect_right(_PROFILE_CUMULATIVE, pick)
+    return _PROFILES[min(index, len(_PROFILES) - 1)]
 
 
 class ContentProcess:

@@ -86,6 +86,8 @@ class Link:
         self._packets_total: Optional[obs.Counter] = None
         self._bytes_total: Optional[obs.Counter] = None
         self._queue_delay: Optional[obs.Histogram] = None
+        self._throttle_total: Optional[obs.Counter] = None
+        self._impairment_total: Optional[obs.Counter] = None
         self._taps: List[PacketTap] = []
         self.bytes_carried = 0
         self.packets_carried = 0
@@ -263,21 +265,33 @@ class Link:
             self._bytes_total.inc(wire_bytes)
             self._queue_delay.observe(queue_wait)
             if throttle_wait > 0.0:
-                metrics.counter(
-                    "netsim_link_throttle_seconds_total",
-                    "Token-bucket shaping delay", link=self.name,
-                ).inc(throttle_wait)
+                throttle_total = self._throttle_total
+                if throttle_total is None:
+                    throttle_total = self._throttle_total = metrics.counter(
+                        "netsim_link_throttle_seconds_total",
+                        "Token-bucket shaping delay", link=self.name,
+                    )
+                throttle_total.inc(throttle_wait)
             if impair_wait > 0.0:
-                metrics.counter(
-                    "netsim_link_impairment_seconds_total",
-                    "Injected loss-recovery/jitter/flap delay",
-                    link=self.name,
-                ).inc(impair_wait)
+                impairment_total = self._impairment_total
+                if impairment_total is None:
+                    impairment_total = self._impairment_total = metrics.counter(
+                        "netsim_link_impairment_seconds_total",
+                        "Injected loss-recovery/jitter/flap delay",
+                        link=self.name,
+                    )
+                impairment_total.inc(impair_wait)
         return arrival
 
     def _resolve_instruments(self, metrics: obs.MetricsRegistry) -> None:
-        """Look up this link's per-packet series in ``metrics`` once."""
+        """Look up this link's per-packet series in ``metrics`` once.
+
+        The throttle and impairment series are resolved at their first
+        event instead, so a link that never waits exports neither.
+        """
         self._instrumented = metrics
+        self._throttle_total = None
+        self._impairment_total = None
         self._packets_total = metrics.counter(
             "netsim_link_packets_total", "Packets entering the link",
             link=self.name,

@@ -103,11 +103,23 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
-        if self._values is not None:
-            if len(self._values) < self._value_cap:
-                bisect.insort(self._values, value)
+        values = self._values
+        if values is not None:
+            if len(values) < self._value_cap:
+                values.append(value)
             else:
                 self._values = None  # too big: buckets only from here on
+
+    def _sorted_values(self) -> Optional[List[float]]:
+        """The raw values, sorted in place at read time.
+
+        :meth:`observe` only appends.  The sort is stable, so values
+        that compare equal (``0.0`` and ``-0.0``) keep their arrival
+        order, which is where insertion in order would have put them.
+        """
+        if self._values is not None:
+            self._values.sort()
+        return self._values
 
     @property
     def exact(self) -> bool:
@@ -132,9 +144,10 @@ class Histogram:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
             return None
-        if self._values is not None:
-            rank = max(1, math.ceil(q * len(self._values)))
-            return self._values[rank - 1]
+        values = self._sorted_values()
+        if values is not None:
+            rank = max(1, math.ceil(q * len(values)))
+            return values[rank - 1]
         target = q * self.count
         cumulative = 0
         lower = self.min
@@ -251,9 +264,8 @@ class MetricsRegistry:
                     entry["min"] = child.min
                     entry["max"] = child.max
                     entry["bucket_counts"] = list(child.bucket_counts)
-                    entry["values"] = (
-                        None if child._values is None else list(child._values)
-                    )
+                    values = child._sorted_values()
+                    entry["values"] = None if values is None else list(values)
                 children.append(entry)
             families.append({
                 "name": family.name,

@@ -103,6 +103,10 @@ class PlayoutBuffer:
         self._causes_join_base: Optional[Dict[str, float]] = None
         self._causes_stall_base: Optional[Dict[str, float]] = None
         self.join_causes: Optional[Dict[str, float]] = None
+        #: The buffer-level series and the registry it was resolved in, at
+        #: the first media arrival with metrics on.
+        self._level_registry: Optional[obs.MetricsRegistry] = None
+        self._level_histogram: Optional[obs.Histogram] = None
         telemetry = obs.active()
         if telemetry.enabled and telemetry.causes_on:
             # The session's ledger bucket starts empty at session start
@@ -136,11 +140,15 @@ class PlayoutBuffer:
                 f"frontier-playhead gap {gap:.6f}s at t={self.loop.now:.3f}",
             )
         if telemetry.enabled and telemetry.metrics_on:
-            telemetry.metrics.histogram(
-                "player_buffer_level_seconds",
-                "Playable media ahead of the playhead, sampled per arrival",
-                buckets=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-            ).observe(self.buffer_level_s())
+            metrics = telemetry.metrics
+            if self._level_registry is not metrics:
+                self._level_registry = metrics
+                self._level_histogram = metrics.histogram(
+                    "player_buffer_level_seconds",
+                    "Playable media ahead of the playhead, sampled per arrival",
+                    buckets=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
+                )
+            self._level_histogram.observe(self.buffer_level_s())
         if not self._playing:
             self._maybe_start_or_resume()
         else:

@@ -60,9 +60,37 @@ class BroadcastState(enum.Enum):
     ENDED = "ended"
 
 
+#: ``bytes.translate`` table from the top byte of a 32-bit generator
+#: word to the character ``rng.choice(_ID_ALPHABET)`` picks with that
+#: word: the byte's top 6 bits index the alphabet.
+_ID_CHAR_BY_TOP_BYTE = bytes(
+    ord(_ID_ALPHABET[b >> 2]) if b >> 2 < len(_ID_ALPHABET) else 0
+    for b in range(256)
+)
+#: Top bytes whose 6 bits index past the 62-character alphabet:
+#: ``rng.choice`` rejects such a word and draws another.
+_ID_REJECTED_TOP_BYTES = bytes(range(4 * len(_ID_ALPHABET), 256))
+
+
 def make_broadcast_id(rng: random.Random) -> str:
-    """A 13-character opaque broadcast id."""
-    return "".join(rng.choice(_ID_ALPHABET) for _ in range(BROADCAST_ID_LENGTH))
+    """A 13-character opaque broadcast id.
+
+    Takes the same words, in the same order, as 13
+    ``rng.choice(_ID_ALPHABET)`` calls: each call keeps the top 6 bits
+    of one 32-bit word and draws again while they index past the
+    alphabet.  One ``getrandbits`` call draws the first 13 words at once
+    (the first word least significant); only the characters whose word
+    was rejected draw more.
+    """
+    words = rng.getrandbits(32 * BROADCAST_ID_LENGTH).to_bytes(
+        4 * BROADCAST_ID_LENGTH, "little"
+    )
+    broadcast_id = words[3::4].translate(
+        _ID_CHAR_BY_TOP_BYTE, _ID_REJECTED_TOP_BYTES
+    ).decode("ascii")
+    while len(broadcast_id) < BROADCAST_ID_LENGTH:
+        broadcast_id += rng.choice(_ID_ALPHABET)
+    return broadcast_id
 
 
 #: A small fraction of viewed broadcasts are "marathons" (surveillance

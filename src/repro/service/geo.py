@@ -8,6 +8,8 @@ local time zone drives the diurnal pattern of Fig. 2(b).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -140,18 +142,17 @@ POPULATION_CENTERS: List[PopulationCenter] = [
 
 #: Sum of the centers' weights, the scale of :func:`sample_location`'s pick.
 _CENTER_WEIGHT_TOTAL = sum(c.weight for c in POPULATION_CENTERS)
+#: Running sums of the centers' weights in list order, added one by one
+#: as a linear scan would: a pick lands on the first center whose
+#: running sum exceeds it.
+_CENTER_CUMULATIVE = list(itertools.accumulate(c.weight for c in POPULATION_CENTERS))
 
 
 def sample_location(rng: random.Random) -> Tuple[GeoPoint, PopulationCenter]:
     """Draw a broadcaster location: weighted center + gaussian scatter."""
     pick = rng.random() * _CENTER_WEIGHT_TOTAL
-    acc = 0.0
-    center = POPULATION_CENTERS[-1]
-    for candidate in POPULATION_CENTERS:
-        acc += candidate.weight
-        if pick < acc:
-            center = candidate
-            break
+    index = bisect.bisect_right(_CENTER_CUMULATIVE, pick)
+    center = POPULATION_CENTERS[min(index, len(POPULATION_CENTERS) - 1)]
     lat = center.location.lat + rng.gauss(0.0, center.spread_deg)
     lon = center.location.lon + rng.gauss(0.0, center.spread_deg)
     lat = min(max(lat, -89.9), 89.9)

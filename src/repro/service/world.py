@@ -57,6 +57,8 @@ class WorldParameters:
             raise ValueError("undisclosed fraction must be in [0, 1)")
         if not 0 <= self.private_fraction < 1:
             raise ValueError("private fraction must be in [0, 1)")
+        if self.ended_grace_s < 0:
+            raise ValueError("ended_grace_s must be non-negative")
 
 
 class ServiceWorld:
@@ -90,17 +92,29 @@ class ServiceWorld:
         return self._now
 
     def advance_to(self, t: float) -> None:
-        """Generate arrivals and retire endings up to UTC time ``t``."""
+        """Generate arrivals and retire endings up to UTC time ``t``.
+
+        Every arrival is drawn in full, so the random stream does not
+        depend on what is kept.  When the retire scan that closes this
+        call runs, it drops every broadcast that ended before its grace
+        cutoff, so an arrival that ends before that cutoff is counted and
+        its offset registered but never enters the live set (ids have
+        62**13 values and are taken as distinct).  That is most of the
+        warm-up's pre-roll.
+        """
         if t < self._now:
             raise ValueError("the world cannot move backwards in time")
+        scan_due = t - self._last_retire_scan >= self.RETIRE_SCAN_INTERVAL_S
+        grace_cutoff = t - self.params.ended_grace_s if scan_due else -math.inf
         while self._next_arrival <= t:
             arrival = self._next_arrival
             self._next_arrival = arrival + self._rng.expovariate(self._peak_rate)
-            self._spawn(arrival)
+            self._spawn(arrival, grace_cutoff)
         self._now = t
-        self._retire(t)
+        if scan_due:
+            self._retire(t, grace_cutoff)
 
-    def _spawn(self, start_time: float) -> None:
+    def _spawn(self, start_time: float, grace_cutoff: float) -> None:
         location, center = sample_location(self._rng)
         # Diurnal thinning: broadcasters are active according to their
         # local hour.  The rejected draws keep the RNG stream aligned.
@@ -114,26 +128,25 @@ class ServiceWorld:
             self._rng.random() >= self.params.undisclosed_fraction
         )
         self.total_generated += 1
-        self._live[broadcast.broadcast_id] = broadcast
         self.utc_offset_by_id[broadcast.broadcast_id] = center.utc_offset_hours
+        if broadcast.end_time < grace_cutoff:
+            return
+        self._live[broadcast.broadcast_id] = broadcast
 
     #: How often the retire scan runs (it is O(live set); callers advance
     #: time far more often than broadcasts end).
     RETIRE_SCAN_INTERVAL_S = 5.0
 
-    def _retire(self, t: float) -> None:
+    def _retire(self, t: float, grace_cutoff: float) -> None:
         # End times are not monotone in arrival order (durations vary), so
         # scan the live set rather than trusting a queue order — but only
         # every few simulated seconds.
-        if t - self._last_retire_scan < self.RETIRE_SCAN_INTERVAL_S:
-            return
         self._last_retire_scan = t
         ended_now = [
             b_id for b_id, b in self._live.items() if b.end_time <= t
         ]
         for b_id in ended_now:
             self._ended[b_id] = self._live.pop(b_id)
-        grace_cutoff = t - self.params.ended_grace_s
         stale = [b_id for b_id, b in self._ended.items() if b.end_time < grace_cutoff]
         for b_id in stale:
             del self._ended[b_id]

@@ -30,6 +30,23 @@ class TestCli:
         assert main(["fig7"]) == 0
         assert "wifi (paper)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--trace-out", "--metrics"])
+    def test_pooled_run_notes_what_its_trace_and_profile_omit(
+            self, flag, tmp_path, capsys):
+        out = tmp_path / "telemetry.out"
+        assert main(["fig7", "--workers", "2", flag, str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("record no spans or profiler sites") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "1", "--trace-out", "{out}", "--metrics", "{out}"],
+        ["--workers", "2", "--health", "{out}"],
+    ])
+    def test_complete_trace_and_profile_carry_no_note(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "telemetry.out")
+        assert main(["fig7"] + [arg.format(out=out) for arg in argv]) == 0
+        assert "record no spans" not in capsys.readouterr().err
+
     def test_parser_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])

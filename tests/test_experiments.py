@@ -21,6 +21,7 @@ from repro.experiments import (
     table1_api,
 )
 from repro.experiments.common import Workbench
+from repro.media.encoder import EncoderSettings
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,24 @@ def test_sec52_codecs_small():
     assert result.gop_shares["IBP"] > 0.5
     assert result.segment_durations
     assert "GOP pattern" in result.render()
+
+
+def test_sec52_codecs_encodes_i_only_streams_hot(monkeypatch):
+    """The census's intra-only streams (index 17 at seed 5) get the
+    500-1,400 kbps targets of old hardware, the others 120-900 kbps."""
+    built = []
+
+    def recording_settings(**kwargs):
+        built.append(EncoderSettings(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sec52_codecs, "EncoderSettings", recording_settings)
+    sec52_codecs.run(seed=5, n_streams=18, duration_s=2.0)
+    hot = [s.target_bps for s in built if s.gop.kind == "I"]
+    rest = [s.target_bps for s in built if s.gop.kind != "I"]
+    assert len(hot) == 1 and len(rest) == 17
+    assert all(500_000.0 <= t <= 1_400_000.0 for t in hot)
+    assert all(120_000.0 <= t <= 900_000.0 for t in rest)
 
 
 def test_workbench_caches(tiny_workbench):

@@ -1,8 +1,12 @@
 """Tests for the content-complexity model."""
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.media.content import (
     CONTENT_PROFILES,
@@ -64,3 +68,51 @@ def test_scene_changes_do_occur():
     values = {round(p.step(), 6) for _ in range(50)}
     # With volatility 0 the only variation comes from scene changes.
     assert len(values) > 5
+
+
+def scan_pick_profile(rng):
+    """The oracle: :func:`pick_profile` as a per-call scan of the genres."""
+    profiles = list(CONTENT_PROFILES.values())
+    weights = [p.weight for p in profiles]
+    total = sum(weights)
+    pick = rng.random() * total
+    acc = 0.0
+    for profile, weight in zip(profiles, weights):
+        acc += weight
+        if pick < acc:
+            return profile
+    return profiles[-1]
+
+
+@given(seed=st.integers(0, 2**64), skip=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_pick_profile_draws_as_the_per_call_scan(seed, skip):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for stream in (rng, oracle):
+        for _ in range(skip):
+            stream.getrandbits(32)
+    for _ in range(5):
+        assert pick_profile(rng) is scan_pick_profile(oracle)
+        assert rng.getstate() == oracle.getstate()
+
+
+class FixedPick:
+    """A stand-in stream whose ``random()`` returns one chosen value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_pick_profile_boundaries_match_the_per_call_scan():
+    weights = [p.weight for p in CONTENT_PROFILES.values()]
+    total = sum(weights)
+    picks = [0.0, math.nextafter(1.0, 0.0)]
+    for running in itertools.accumulate(weights):
+        u = running / total
+        picks += [math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)]
+    for u in picks:
+        if 0.0 <= u < 1.0:
+            assert pick_profile(FixedPick(u)) is scan_pick_profile(FixedPick(u))

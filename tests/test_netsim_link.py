@@ -318,7 +318,11 @@ class TestLinkInstruments:
 
     def test_successive_sessions_record_into_their_own_registry(self):
         loop = EventLoop()
-        link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="uplink")
+        link = Link(
+            loop, rate_bps=8_000.0, delay_s=0.0, name="uplink",
+            shaper=TokenBucketShaper(rate_bps=4_000.0, bucket_bytes=1000),
+            impairment=LinkImpairment(random.Random(3), jitter_s=0.01),
+        )
         link.deliver = lambda p: None
         with obs.session(metrics=True, tracing=False,
                          profiling=False) as first:
@@ -335,6 +339,11 @@ class TestLinkInstruments:
                                link="uplink").value == 1000 * packets
             assert metrics.get("netsim_link_queue_delay_seconds",
                                link="uplink").count == packets
+            # Resolved at their first event in each registry.
+            assert metrics.get("netsim_link_throttle_seconds_total",
+                               link="uplink").value > 0.0
+            assert metrics.get("netsim_link_impairment_seconds_total",
+                               link="uplink").value > 0.0
 
     def test_disabled_telemetry_records_nothing(self):
         obs.deactivate()

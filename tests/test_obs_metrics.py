@@ -1,8 +1,11 @@
 """Unit tests for the metrics registry and its exporters."""
 
+import bisect
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.export import render_prometheus, render_summary
@@ -218,3 +221,72 @@ class TestSnapshotMerge:
 def test_default_buckets_are_sorted():
     assert list(obs.DEFAULT_BUCKETS) == sorted(obs.DEFAULT_BUCKETS)
     assert not math.isinf(obs.DEFAULT_BUCKETS[-1])
+
+
+class InsortValues:
+    """The oracle: raw histogram values kept sorted by one
+    ``bisect.insort`` per observation."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.values = []
+
+    def observe(self, value):
+        if self.values is not None:
+            if len(self.values) < self.cap:
+                bisect.insort(self.values, value)
+            else:
+                self.values = None
+
+    def merge(self, incoming):
+        if self.values is None or len(self.values) + len(incoming) > self.cap:
+            self.values = None
+        else:
+            self.values = sorted(self.values + incoming)
+
+    def quantile(self, q):
+        return self.values[max(1, math.ceil(q * len(self.values))) - 1]
+
+
+#: Floats that compare equal but print apart (0.0 and -0.0) show whether
+#: equal values keep their arrival order.
+_HISTOGRAM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                              st.floats(allow_nan=False))
+_HISTOGRAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("observe"), _HISTOGRAM_VALUES),
+    st.tuples(st.just("quantile"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("snapshot"), st.none()),
+    st.tuples(st.just("merge"), st.lists(_HISTOGRAM_VALUES, max_size=6)),
+), max_size=60)
+
+
+@given(ops=_HISTOGRAM_OPS, cap=st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_histogram_reads_match_the_insort_oracle(ops, cap):
+    """However observations, reads and merges interleave, quantiles and
+    snapshot values are the ones an insort per observation gives, down
+    to the order of equal values."""
+    registry = MetricsRegistry()
+    histogram = registry.histogram("x_seconds")
+    histogram._value_cap = cap
+    oracle = InsortValues(cap)
+    for op, arg in ops:
+        if op == "observe":
+            histogram.observe(arg)
+            oracle.observe(arg)
+        elif op == "merge":
+            source = MetricsRegistry()
+            incoming = InsortValues(len(arg))
+            for value in arg:
+                source.histogram("x_seconds").observe(value)
+                incoming.observe(value)
+            registry.merge_from(source.snapshot())
+            oracle.merge(incoming.values)
+        elif op == "quantile" and oracle.values:
+            assert repr(histogram.quantile(arg)) == repr(oracle.quantile(arg))
+        elif op == "snapshot":
+            (child,) = registry.snapshot()["families"][0]["children"]
+            assert repr(child["values"]) == repr(oracle.values)
+        assert histogram.exact == (oracle.values is not None)
+    (child,) = registry.snapshot()["families"][0]["children"]
+    assert repr(child["values"]) == repr(oracle.values)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.netsim.events import EventLoop
 from repro.player.buffer import PlayoutBuffer
 
@@ -154,3 +155,16 @@ def test_report_consistency_invariant():
     loop.run_until(20.0)
     report = buf.finalize(20.0)
     assert report.join_time_s + report.playback_s + report.total_stall_s == pytest.approx(20.0)
+
+
+def test_buffer_level_is_sampled_into_the_active_registry():
+    """The level series is resolved once per registry, so a buffer that
+    outlives a telemetry scope samples into the next one."""
+    loop, buf = make(start=1.0)
+    with obs.session(metrics=True, tracing=False, profiling=False) as first:
+        buf.on_media(0.5)
+        buf.on_media(1.5)  # playback starts here
+    with obs.session(metrics=True, tracing=False, profiling=False) as second:
+        buf.on_media(2.5)
+    assert first.metrics.get("player_buffer_level_seconds").count == 2
+    assert second.metrics.get("player_buffer_level_seconds").count == 1

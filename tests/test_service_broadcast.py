@@ -1,9 +1,13 @@
 """Tests for broadcast sampling, calibrated to Section 4 statistics."""
 
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.media.encoder import GopPattern
 from repro.service.broadcast import (
     BROADCAST_ID_LENGTH,
     CHAT_FULL_VIEWERS,
@@ -13,6 +17,7 @@ from repro.service.broadcast import (
     sample_broadcast,
     sample_duration_s,
     sample_mean_viewers,
+    sample_target_bitrate_bps,
 )
 from repro.service.geo import POPULATION_CENTERS, GeoPoint
 
@@ -34,6 +39,64 @@ def test_broadcast_id_shape():
     assert len(ids) == 100
     assert all(len(i) == BROADCAST_ID_LENGTH for i in ids)
     assert all(c.isalnum() for i in ids for c in i)
+
+
+ID_ALPHABET = string.ascii_letters + string.digits
+
+
+def choice_broadcast_id(rng):
+    """The oracle: one ``rng.choice`` per id character."""
+    return "".join(rng.choice(ID_ALPHABET) for _ in range(BROADCAST_ID_LENGTH))
+
+
+@given(seed=st.integers(0, 2**64), skip=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_broadcast_id_draws_as_one_choice_per_character(seed, skip):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for stream in (rng, oracle):
+        for _ in range(skip):
+            stream.getrandbits(32)
+    for _ in range(4):
+        assert make_broadcast_id(rng) == choice_broadcast_id(oracle)
+        assert rng.getstate() == oracle.getstate()
+
+
+class CountingRandom(random.Random):
+    """Counts the 32-bit words ``rng.choice`` takes (one per call)."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def test_broadcast_id_redraws_rejected_words_as_choice_does():
+    """Ids whose words index past the alphabet, once or several times
+    (a redrawn word rejected too), still match the oracle."""
+    rejected_seen = set()
+    for seed in range(3000):
+        rng, oracle = random.Random(seed), CountingRandom(seed)
+        assert make_broadcast_id(rng) == choice_broadcast_id(oracle)
+        assert rng.getstate() == oracle.getstate()
+        rejected_seen.add(oracle.words - BROADCAST_ID_LENGTH)
+    assert {0, 1, 2, 3} <= rejected_seen
+
+
+class NoUsernameDraw(random.Random):
+    """A stream on which drawing a ``user########`` name fails."""
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("drew a username")
+
+
+def test_named_broadcast_draws_no_username():
+    broadcast = sample_broadcast(NoUsernameDraw(5), 0.0, GeoPoint(0, 0),
+                                 POPULATION_CENTERS[0], username="alice")
+    assert broadcast.username == "alice"
+    with pytest.raises(AssertionError, match="drew a username"):
+        sample_broadcast(NoUsernameDraw(5), 0.0, GeoPoint(0, 0),
+                         POPULATION_CENTERS[0])
 
 
 def test_state_transitions():
@@ -155,3 +218,14 @@ def test_i_only_broadcasts_get_hot_bitrates():
     assert hot, "expected some I-only broadcasts in 2000 draws"
     assert min(hot) > 400_000
     assert sum(normal) / len(normal) < 450_000
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("IBP", "IP", "I")))
+@settings(max_examples=200, deadline=None)
+def test_target_bitrate_range_follows_the_gop_kind(seed, kind):
+    target = sample_target_bitrate_bps(random.Random(seed), GopPattern(kind))
+    if kind == "I":
+        assert 500_000.0 <= target <= 1_400_000.0
+    else:
+        assert 120_000.0 <= target <= 900_000.0
+

@@ -1,8 +1,12 @@
 """Tests for the geography model."""
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.geo import (
     POPULATION_CENTERS,
@@ -87,3 +91,59 @@ def test_rect_key_hashable():
     rect = GeoRect(0.0, 0.0, 1.0, 1.0)
     assert rect.key() == (0.0, 0.0, 1.0, 1.0)
     assert {rect.key(): 1}
+
+
+def scan_sample_location(rng):
+    """The oracle: :func:`sample_location` as a linear scan of the centers."""
+    pick = rng.random() * sum(c.weight for c in POPULATION_CENTERS)
+    acc = 0.0
+    center = POPULATION_CENTERS[-1]
+    for candidate in POPULATION_CENTERS:
+        acc += candidate.weight
+        if pick < acc:
+            center = candidate
+            break
+    lat = center.location.lat + rng.gauss(0.0, center.spread_deg)
+    lon = center.location.lon + rng.gauss(0.0, center.spread_deg)
+    lat = min(max(lat, -89.9), 89.9)
+    lon = ((lon + 180.0) % 360.0) - 180.0
+    return GeoPoint(lat, lon), center
+
+
+@given(seed=st.integers(0, 2**64), skip=st.integers(0, 40),
+       gauss_primed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_sample_location_draws_as_the_linear_scan(seed, skip, gauss_primed):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for stream in (rng, oracle):
+        for _ in range(skip):
+            stream.getrandbits(32)
+        if gauss_primed:
+            stream.gauss(0.0, 1.0)
+    for _ in range(3):
+        assert sample_location(rng) == scan_sample_location(oracle)
+        assert rng.getstate() == oracle.getstate()
+
+
+class FixedPick:
+    """A stand-in stream whose ``random()`` returns one chosen value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def gauss(self, mu, sigma):
+        return mu
+
+
+def test_sample_location_center_boundaries_match_the_linear_scan():
+    total = sum(c.weight for c in POPULATION_CENTERS)
+    picks = [0.0, math.nextafter(1.0, 0.0)]
+    for running in itertools.accumulate(c.weight for c in POPULATION_CENTERS):
+        u = running / total
+        picks += [math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)]
+    for u in picks:
+        if 0.0 <= u < 1.0:
+            assert sample_location(FixedPick(u)) == scan_sample_location(FixedPick(u))

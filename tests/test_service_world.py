@@ -1,6 +1,8 @@
 """Tests for the living service world."""
 
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -20,6 +22,8 @@ def test_params_validation():
         WorldParameters(undisclosed_fraction=1.2)
     with pytest.raises(ValueError):
         WorldParameters(private_fraction=-0.1)
+    with pytest.raises(ValueError):
+        WorldParameters(ended_grace_s=-1.0)
 
 
 def test_warm_start_population():
@@ -123,3 +127,83 @@ def test_different_seeds_differ():
     assert {x.broadcast_id for x in a.live_broadcasts()} != {
         x.broadcast_id for x in b.live_broadcasts()
     }
+
+
+def world_state_digest(world):
+    """SHA-256 over everything the world holds or will draw from."""
+    state = (
+        list(world._live.items()),
+        list(world._ended.items()),
+        world._rng.getstate(),
+        world._next_arrival,
+        world.total_generated,
+        list(world.utc_offset_by_id.items()),
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+#: (seed, mean_concurrent) -> world-state digests at construction and
+#: after ``advance_to(3600.0)``, recorded with a world that kept every
+#: warm-up arrival until its closing retire scan.  From Python 3.12
+#: ``sum()`` of floats is compensated, which moves the diurnal
+#: acceptance mean, and with it every arrival time, by an ulp.
+WORLD_STATE_DIGESTS = {
+    (2016, 600): (
+        "7a8e65a2976d80143eabbba2003b79b030e827e95b65a4822589a05b40e9b4dc",
+        "2d9eeaeedf2d555cab8bd946418ce48395ffd461487f87115b0fb48bcb765c9f",
+    ),
+    (2017, 600): (
+        "3947325a1fc43112cf5bbe128c3621c4cab0e86c6f0fcf3c65b7415f2d23c374",
+        "ea4bf54ecdcd62263cfb0d0b195d0c3bb07357b737b813f63e8e00e8d3c2de98",
+    ),
+    (7, 1500): (
+        "72755b8058b1559d32fe71f7529f68329df80dd58fe000899e22f9eae7503682",
+        "ee10ed17c15eb71aee850a640e4de4cee8643724642bbf905bbe36ad44f9a755",
+    ),
+}
+WORLD_STATE_DIGESTS_COMPENSATED_SUM = {
+    (2016, 600): (
+        "a5051ef7a3ac8bedc09c36e441382e1f8930cd0b4d65fdf0e5cc0526a8f1b4cb",
+        "91acb288ba104d898c14142fbb62535f53820e09739a2a80d6d300a1800ef745",
+    ),
+    (2017, 600): (
+        "243721c5d9a31fc5e9062141844d1087b71d5b567fdca40e67e38a5423fc3a1e",
+        "623a24c5b8199ef4b143ff1057979f4d0bf37af3e9aa1e29541a8da14671281f",
+    ),
+    (7, 1500): (
+        "2c5498a0c1ff57d948bb49eee8b6f1e887b857e748cca2317fd9850c6921476c",
+        "23161e2b7c74798cc26a32c794b133dede4b91949e037b2a7990b1025315f974",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,mean_concurrent", sorted(WORLD_STATE_DIGESTS))
+def test_world_state_matches_the_keep_everything_world(seed, mean_concurrent):
+    """Not keeping what nobody can observe moves no draw and no kept
+    broadcast, at construction and after an hour of evolution."""
+    pins = (WORLD_STATE_DIGESTS_COMPENSATED_SUM if sys.version_info >= (3, 12)
+            else WORLD_STATE_DIGESTS)
+    at_start, after_an_hour = pins[(seed, mean_concurrent)]
+    world = small_world(mean_concurrent=mean_concurrent, seed=seed)
+    assert world_state_digest(world) == at_start
+    world.advance_to(3600.0)
+    assert world_state_digest(world) == after_an_hour
+
+
+def test_warm_up_holds_only_observable_broadcasts(monkeypatch):
+    """The pre-roll draws all 10,584 arrivals, but the live set its
+    closing retire scan walks holds only the 532 live and 830 recently
+    ended ones the world keeps."""
+    scanned = []
+    retire = ServiceWorld._retire
+
+    def recording_retire(self, *args):
+        scanned.append(len(self._live))
+        retire(self, *args)
+
+    monkeypatch.setattr(ServiceWorld, "_retire", recording_retire)
+    world = small_world(mean_concurrent=600, seed=2016)
+    assert world.total_generated == 10_584
+    assert len(world.utc_offset_by_id) == 10_584
+    assert (world.live_count(), len(world._ended)) == (532, 830)
+    assert scanned == [1_362]
