@@ -78,6 +78,10 @@ class TargetedCrawl:
         #: counts are sampled across each broadcast's life.
         self._refresh_ring: List[str] = []
         self._refresh_cursor = 0
+        #: One float per distinct ``n_watching`` count, shared by every
+        #: viewer sample of that value, so a retained sample costs one
+        #: list slot rather than a float object of its own.
+        self._sample_values: Dict[int, float] = {}
 
     # ------------------------------------------------------------------ drive
 
@@ -163,7 +167,11 @@ class TargetedCrawl:
             tracked.start_time = desc.get("start")
             tracked.available_for_replay = desc.get("available_for_replay")
             if desc.get("state") == "RUNNING":
-                tracked.viewer_samples.append(float(desc.get("n_watching", 0)))
+                n_watching = desc.get("n_watching", 0)
+                sample = self._sample_values.get(n_watching)
+                if sample is None:
+                    sample = self._sample_values[n_watching] = float(n_watching)
+                tracked.viewer_samples.append(sample)
             else:
                 ended_ids.append(desc["id"])
         if ended_ids:

@@ -14,6 +14,7 @@ in :mod:`repro.player.hls_player`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -27,8 +28,23 @@ class PlaylistEntry:
     sequence: int
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("segment duration must be positive")
+        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+            raise ValueError("segment duration must be positive and finite")
+
+
+#: RFC 8216 section 4.2 number forms.  A decimal-integer is ASCII digits;
+#: a decimal-floating-point is ASCII digits with at most one point.
+#: Neither has a sign, an exponent, an underscore or a name such as
+#: ``nan``, all of which ``int`` and ``float`` accept.
+_DECIMAL_INTEGER = re.compile(r"[0-9]+")
+_DECIMAL_FLOAT = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
+
+
+def _decimal(value: str, form: "re.Pattern[str]") -> str:
+    """``value`` if it has the number ``form``, else ``ValueError``."""
+    if form.fullmatch(value) is None:
+        raise ValueError(f"malformed number {value!r}")
+    return value
 
 
 @dataclass
@@ -99,6 +115,11 @@ class MediaPlaylist:
         until the whole header is known — a single pass numbered entries
         from whatever value had been *seen so far* (0 if the tag came
         after the first #EXTINF).
+
+        Malformed input raises ``ValueError``: a number that is not an
+        RFC 8216 decimal (so no negative media sequence and no ``nan``
+        duration), a target duration that overflows to infinity, and an
+        #EXTINF that is not followed by exactly one segment URI.
         """
         lines = [line.strip() for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != "#EXTM3U":
@@ -110,9 +131,11 @@ class MediaPlaylist:
         # Pass 1: header/global tags, wherever they appear.
         for line in lines[1:]:
             if line.startswith("#EXT-X-TARGETDURATION:"):
-                target = float(line.split(":", 1)[1])
+                target = float(_decimal(line.split(":", 1)[1], _DECIMAL_FLOAT))
+                if not math.isfinite(target):
+                    raise ValueError(f"target duration out of range in {line!r}")
             elif line.startswith("#EXT-X-MEDIA-SEQUENCE:"):
-                sequence = int(line.split(":", 1)[1])
+                sequence = int(_decimal(line.split(":", 1)[1], _DECIMAL_INTEGER))
             elif line.startswith("#EXT-X-VERSION:"):
                 version = int(line.split(":", 1)[1])
             elif line == "#EXT-X-ENDLIST":
@@ -122,7 +145,10 @@ class MediaPlaylist:
         pending_duration: Optional[float] = None
         for line in lines[1:]:
             if line.startswith("#EXTINF:"):
-                pending_duration = float(line.split(":", 1)[1].rstrip(",").split(",")[0])
+                if pending_duration is not None:
+                    raise ValueError(f"{line!r} follows an #EXTINF without a URI")
+                duration = line.split(":", 1)[1].split(",", 1)[0]
+                pending_duration = float(_decimal(duration, _DECIMAL_FLOAT))
             elif line.startswith("#"):
                 continue  # header tag (pass 1) or unknown tag, ignored here
             else:
@@ -136,6 +162,8 @@ class MediaPlaylist:
                     )
                 )
                 pending_duration = None
+        if pending_duration is not None:
+            raise ValueError("the last #EXTINF has no segment URI")
         return cls(
             target_duration_s=target,
             media_sequence=sequence,

@@ -165,7 +165,9 @@ class Broadcast:
         return BroadcastState.ENDED
 
     def is_live_at(self, t: float) -> bool:
-        return self.state_at(t) == BroadcastState.LIVE
+        """``t`` lies in ``[start_time, end_time)``, the interval
+        :meth:`state_at` calls LIVE."""
+        return self.start_time <= t < self.start_time + self.duration_s
 
     @property
     def has_viewers(self) -> bool:

@@ -8,7 +8,6 @@ deep crawls found between 1K and 4K).  Discovery mirrors the app:
 
 * ``query_map`` — the /mapGeoBroadcastFeed behaviour, returning at most a
   cap of broadcasts per rectangle (which is why the crawler must zoom);
-* ``ranked_broadcasts`` — the app's home list of ~80 streams;
 * ``teleport`` — a *popularity-biased* random pick; this bias is how a
   47%-HLS session mix coexists with >90% of broadcasts having <20
   viewers.
@@ -169,22 +168,22 @@ class ServiceWorld:
         live broadcasts inside ``rect``, at most ``cap`` of them (most
         viewed first) — zooming in reveals more."""
         cap = cap if cap is not None else self.params.map_response_cap
+        # Every map request of a crawl scans the whole live set, so the
+        # scan makes no call per broadcast: Broadcast.is_live_at and
+        # GeoRect.contains are inlined.
+        now = self._now
+        south, west, north, east = rect.south, rect.west, rect.north, rect.east
         matches = [
             b
             for b in self._live.values()
             if not b.is_private
             and b.description_has_location
-            and b.is_live_at(self._now)
-            and rect.contains(b.location)
+            and b.start_time <= now < b.start_time + b.duration_s
+            and south <= b.location.lat <= north
+            and west <= b.location.lon <= east
         ]
         matches.sort(key=lambda b: (-b.viewers_at(self._now), b.broadcast_id))
         return matches[:cap]
-
-    def ranked_broadcasts(self, count: int = 80) -> List[Broadcast]:
-        """The app's home list: the most-viewed public broadcasts."""
-        public = [b for b in self._live.values() if not b.is_private]
-        public.sort(key=lambda b: (-b.viewers_at(self._now), b.broadcast_id))
-        return public[:count]
 
     #: Base weight added to every broadcast in the Teleport lottery so
     #: zero-viewer broadcasts are reachable (just rarely).

@@ -1,5 +1,8 @@
 """Integration tests for the deep and targeted crawls."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.crawler.analysis import analyze_tracked
@@ -183,6 +186,26 @@ class TestTargetedCrawl:
         _, targeted = crawl
         sampled = [t for t in targeted.tracked.values() if t.viewer_samples]
         assert len(sampled) > 0.5 * len(targeted.tracked)
+
+    def test_equal_viewer_samples_are_one_object(self, crawl):
+        _, targeted = crawl
+        samples = [v for t in targeted.tracked.values() for v in t.viewer_samples]
+        shared = {}
+        for sample in samples:
+            assert shared.setdefault(sample, sample) is sample
+        assert len(shared) < len(samples)
+
+    def test_shared_samples_pickle_as_one_float_each(self, crawl):
+        """Pickle writes floats by value, so sharing them moves no byte
+        of the crawl's output."""
+        _, targeted = crawl
+        rebuilt = copy.deepcopy(targeted.tracked)
+        for tracked in rebuilt.values():
+            tracked.viewer_samples = [float(int(v)) for v in tracked.viewer_samples]
+        fresh = [v for t in rebuilt.values() for v in t.viewer_samples]
+        assert len({id(v) for v in fresh}) == len(fresh)
+        assert pickle.dumps(sorted(targeted.tracked.items()), protocol=4) == (
+            pickle.dumps(sorted(rebuilt.items()), protocol=4))
 
     def test_completed_broadcasts_have_durations(self, crawl):
         _, targeted = crawl

@@ -5,6 +5,7 @@ loop, conservation through the network stack, playout-buffer accounting,
 and the binary containers.
 """
 
+import math
 import random
 
 import pytest
@@ -170,6 +171,54 @@ def test_m3u8_roundtrip_property(entries, media_sequence):
     for got, want in zip(parsed.entries, playlist.entries):
         assert got.uri == want.uri
         assert got.duration_s == pytest.approx(want.duration_s, abs=1e-3)
+
+
+#: Replacement bytes: any byte, or one that means something in M3U8.
+M3U8_MUTANT_BYTE = st.one_of(st.sampled_from(b"-+._,:#\n0123456789naif"),
+                             st.integers(0, 255))
+
+
+@given(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=6),
+       st.integers(0, 5000), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_m3u8_mutants_raise_or_number_consecutively(durations, media_sequence,
+                                                    ended, data):
+    """A truncated playlist, or one with 1-3 bytes replaced, either
+    raises ``ValueError`` or numbers its entries consecutively from a
+    non-negative media sequence, with finite positive durations."""
+    playlist = MediaPlaylist(
+        target_duration_s=6.0,
+        media_sequence=media_sequence,
+        entries=[PlaylistEntry(f"seg{i}.ts", round(d, 3), media_sequence + i)
+                 for i, d in enumerate(durations)],
+        ended=ended,
+    )
+    mutant = bytearray(playlist.render_bytes())
+    anywhere = st.integers(0, len(mutant) - 1)
+    # A byte just after a tag's colon can make a number negative or a
+    # name such as nan, so the first replaced byte is one of those.
+    value_start = st.sampled_from(
+        [i + 1 for i, byte in enumerate(mutant) if byte == ord(":")])
+    if data.draw(st.booleans()):
+        del mutant[data.draw(anywhere):]
+    else:
+        for flip in range(data.draw(st.integers(1, 3))):
+            position = data.draw(anywhere if flip else value_start)
+            mutant[position] = data.draw(M3U8_MUTANT_BYTE)
+    try:
+        # Latin-1 maps every byte to a character, so each mutant reaches
+        # the parser rather than failing to decode.
+        parsed = MediaPlaylist.parse(mutant.decode("latin-1"))
+    except ValueError:
+        return
+    first = parsed.media_sequence
+    assert first >= 0
+    assert [e.sequence for e in parsed.entries] == list(
+        range(first, first + len(parsed.entries)))
+    assert all(math.isfinite(e.duration_s) and e.duration_s > 0
+               for e in parsed.entries)
+    assert math.isfinite(parsed.target_duration_s)
+    assert parsed.target_duration_s >= 0
 
 
 # ----------------------------------------------------------- rate control

@@ -92,6 +92,31 @@ class TestMediaPlaylist:
     def test_entry_validation(self):
         with pytest.raises(ValueError):
             PlaylistEntry("x.ts", 0.0, 0)
+        for duration in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                PlaylistEntry("x.ts", duration, 0)
+
+    @pytest.mark.parametrize("text", [
+        # A NaN duration parsed into an entry.
+        "#EXTM3U\n#EXTINF:nan,\nseg0.ts\n",
+        "#EXTM3U\n#EXTINF:1e999,\nseg0.ts\n",
+        "#EXTM3U\n#EXTINF:-3.600,\nseg0.ts\n",
+        # Entries numbered from -4.
+        "#EXTM3U\n#EXT-X-MEDIA-SEQUENCE:-4\n#EXTINF:3.600,\nseg0.ts\n",
+        # int() reads these as 17; a decimal-integer has digits only.
+        "#EXTM3U\n#EXT-X-MEDIA-SEQUENCE:1_7\n#EXTINF:3.600,\nseg0.ts\n",
+        "#EXTM3U\n#EXT-X-MEDIA-SEQUENCE:+17\n#EXTINF:3.600,\nseg0.ts\n",
+        # Two durations for one URI became one entry with the second.
+        "#EXTM3U\n#EXTINF:3.600,\n#EXTINF:4.100,\nseg0.ts\n",
+        "#EXTM3U\n#EXTINF:3.600,\nseg0.ts\n#EXTINF:4.100,\n",
+        "#EXTM3U\n#EXT-X-TARGETDURATION:-4\n",
+        "#EXTM3U\n#EXT-X-TARGETDURATION:nan\n",
+        "#EXTM3U\n#EXT-X-TARGETDURATION:inf\n",
+        "#EXTM3U\n#EXT-X-TARGETDURATION:" + "9" * 400 + "\n",
+    ])
+    def test_parse_rejects_malformed_numbers_and_entries(self, text):
+        with pytest.raises(ValueError):
+            MediaPlaylist.parse(text)
 
     def test_nbytes_positive(self):
         assert self.playlist().nbytes > 50

@@ -1,5 +1,6 @@
 """Tests for broadcast sampling, calibrated to Section 4 statistics."""
 
+import math
 import random
 import string
 
@@ -106,6 +107,22 @@ def test_state_transitions():
     assert b.state_at(159.9) == BroadcastState.LIVE
     assert b.state_at(160.0) == BroadcastState.ENDED
     assert b.end_time == 160.0
+
+
+@given(start=st.floats(-1e9, 1e9), duration=st.floats(0.0, 1e6),
+       t=st.floats(-2e9, 2e9))
+@settings(max_examples=300, deadline=None)
+def test_is_live_at_is_the_live_state(start, duration, t):
+    """The inlined interval test agrees with :meth:`state_at` at both
+    ends of the lifetime, one float step either side of each, and at a
+    random instant."""
+    b = make(start=start, duration_s=duration)
+    probes = [t]
+    for edge in (b.start_time, b.start_time + b.duration_s):
+        probes += [math.nextafter(edge, -math.inf), edge,
+                   math.nextafter(edge, math.inf)]
+    for probe in probes:
+        assert b.is_live_at(probe) == (b.state_at(probe) is BroadcastState.LIVE)
 
 
 class TestPopulationStatistics:

@@ -5,7 +5,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.service.broadcast import BroadcastState
 from repro.service.geo import GeoRect
 from repro.service.world import ServiceWorld, WorldParameters
 
@@ -85,12 +88,54 @@ def test_query_map_excludes_private_and_undisclosed():
     assert all(b.description_has_location for b in result)
 
 
-def test_ranked_list_sorted_by_viewers():
-    world = small_world(seed=7)
-    ranked = world.ranked_broadcasts(count=80)
-    assert len(ranked) <= 80
-    viewers = [b.viewers_at(world.now) for b in ranked]
-    assert viewers == sorted(viewers, reverse=True)
+def comprehension_query_map(world, rect, cap):
+    """The oracle: the map query as one comprehension of method calls,
+    with ``is_live_at`` spelled as the state it tests."""
+    matches = [
+        b
+        for b in world._live.values()
+        if not b.is_private
+        and b.description_has_location
+        and b.state_at(world.now) == BroadcastState.LIVE
+        and rect.contains(b.location)
+    ]
+    matches.sort(key=lambda b: (-b.viewers_at(world.now), b.broadcast_id))
+    return matches[:cap]
+
+
+def edges(data, broadcasts, coordinate, low, high):
+    """Two sorted rectangle edges, each either random or exactly some
+    broadcast's ``coordinate``."""
+    points = [getattr(b.location, coordinate) for b in broadcasts]
+    edge = st.floats(low, high)
+    if points:
+        edge = st.one_of(edge, st.sampled_from(points))
+    return sorted((data.draw(edge), data.draw(edge)))
+
+
+@given(seed=st.integers(0, 2**16), advance_s=st.floats(0.0, 3600.0),
+       cap=st.integers(1, 200), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_query_map_is_the_comprehension(seed, advance_s, cap, data):
+    world = small_world(mean_concurrent=200, seed=seed)
+    world.advance_to(advance_s)
+    # Sometimes stop exactly where a live broadcast ends, before the next
+    # retire scan removes it: the query must already leave it out.
+    ending = sorted(
+        b.end_time for b in world.live_broadcasts()
+        if world.now < b.end_time
+        < world._last_retire_scan + world.RETIRE_SCAN_INTERVAL_S
+    )
+    if ending and data.draw(st.booleans()):
+        world.advance_to(data.draw(st.sampled_from(ending)))
+    live = world.live_broadcasts()
+    south, north = edges(data, live, "lat", -90.0, 90.0)
+    west, east = edges(data, live, "lon", -180.0, 180.0)
+    rect = GeoRect(south, west, north, east)
+    got = world.query_map(rect, cap)
+    want = comprehension_query_map(world, rect, cap)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
 
 
 def test_teleport_returns_live_public_broadcast():
