@@ -13,6 +13,7 @@ Run:  python examples/video_quality_inspection.py
 import random
 
 from repro.capture.inspector import inspect_frames
+from repro.capture.reconstruct import reassemble_flows
 from repro.media.audio import AacEncoderModel
 from repro.media.content import CONTENT_PROFILES, ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
@@ -56,8 +57,8 @@ def main() -> None:
           f"{capture.total_bytes(direction='down')} wire bytes")
 
     print("4. reassemble the TCP stream from the capture")
-    records = sorted(capture.data_records(), key=lambda r: r.seq)
-    reassembled = b"".join(r.chunk for r in records if r.chunk is not None)
+    (stream,) = reassemble_flows(capture).values()
+    reassembled = stream.data
     assert reassembled == ts_bytes, "reassembly must be byte exact"
     print(f"   {len(reassembled)} bytes, byte-exact match")
 

@@ -10,7 +10,7 @@ The Teleport loop itself is :mod:`repro.core.study` and
 """
 
 from repro.automation.devices import DEVICES, DeviceProfile, GALAXY_S3, GALAXY_S4
-from repro.automation.ntp import ClockModel, NtpSyncedClock
+from repro.automation.ntp import ClockModel
 from repro.automation.shaping import shaper_for_limit
 
 __all__ = [
@@ -19,6 +19,5 @@ __all__ = [
     "GALAXY_S3",
     "GALAXY_S4",
     "ClockModel",
-    "NtpSyncedClock",
     "shaper_for_limit",
 ]

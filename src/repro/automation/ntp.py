@@ -38,14 +38,3 @@ CAPTURE_DESKTOP_CLOCK = ClockModel(sigma_s=0.010, max_abs_s=0.050)
 #: larger error — occasionally exceeding the RTMP delivery latency
 #: itself, which is what makes some measured latencies negative.
 BROADCASTER_PHONE_CLOCK = ClockModel(sigma_s=0.060, max_abs_s=0.300)
-
-
-class NtpSyncedClock:
-    """A clock = true simulated time + a fixed per-session offset."""
-
-    def __init__(self, offset_s: float) -> None:
-        self.offset_s = offset_s
-
-    def read(self, true_time: float) -> float:
-        """What the device believes the time is."""
-        return true_time + self.offset_s

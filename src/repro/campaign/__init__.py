@@ -41,7 +41,6 @@ from repro.campaign.spec import (
     CellSpec,
     cell_key,
     plan_cells,
-    plan_keys,
     resolve_config,
 )
 from repro.campaign.store import (
@@ -57,7 +56,7 @@ __all__ = [
     "canonical_bytes", "content_hash",
     "CampaignRunner", "CampaignStatus", "CampaignSummary",
     "POPULATION", "SWEEP", "CampaignSpec", "CellSpec", "cell_key",
-    "plan_cells", "plan_keys", "resolve_config",
+    "plan_cells", "resolve_config",
     "CampaignStore", "CorruptBlobError", "JournalScan",
     "StoreError", "StoreLockedError",
 ]

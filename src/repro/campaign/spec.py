@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.campaign.hashing import SCHEMA_VERSION, content_hash
 from repro.core.config import StudyConfig
@@ -175,13 +175,3 @@ def plan_cells(spec: CampaignSpec) -> List[CellSpec]:
                 sample_budget=spec.sample_budget,
             ))
     return cells
-
-
-def plan_keys(spec: CampaignSpec) -> Dict[str, CellSpec]:
-    """Key -> cell for the whole plan (keys are unique: the seed and the
-    cell parameters are all inside the hashed description)."""
-    plan = plan_cells(spec)
-    keyed = {cell_key(cell): cell for cell in plan}
-    if len(keyed) != len(plan):
-        raise ValueError("campaign plan contains duplicate cells")
-    return keyed

@@ -125,9 +125,3 @@ class StudyConfig:
     def scaled(self, count: int, minimum: int = 1) -> int:
         """Apply the population scale factor to a paper-sized count."""
         return max(minimum, int(round(count * self.scale)))
-
-    def with_scale(self, scale: float) -> "StudyConfig":
-        """A copy of this config at a different population scale."""
-        import dataclasses
-
-        return dataclasses.replace(self, scale=scale)

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.player.buffer import StallEvent  # noqa: F401  (re-exported API)
 
@@ -91,13 +91,6 @@ class SessionQoE:
         return stall_ratio(self.total_stall_s, self.playback_s)
 
     @property
-    def mean_stall_s(self) -> float:
-        """Average stall-event duration (what RTMP playbackMeta reports)."""
-        if not self.stalls:
-            return 0.0
-        return self.total_stall_s / len(self.stalls)
-
-    @property
     def delivery_latency_s(self) -> Optional[float]:
         """Mean of the per-broadcast delivery-latency samples (the paper
         averages all samples of a broadcast)."""
@@ -109,12 +102,3 @@ class SessionQoE:
         """Sanity invariant: join + playback + stalls ≈ watch duration."""
         total = self.join_time_s + self.playback_s + self.total_stall_s
         return abs(total - self.watch_seconds) < 1e-6
-
-
-def combine_sessions(groups: Sequence[Sequence[SessionQoE]]) -> List[SessionQoE]:
-    """Flatten session groups (e.g. the two devices) into one dataset, as
-    the paper does after the Welch's t-tests justify pooling."""
-    merged: List[SessionQoE] = []
-    for group in groups:
-        merged.extend(group)
-    return merged

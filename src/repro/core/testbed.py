@@ -135,8 +135,3 @@ class SessionTestbed:
         forward = self.net.path(server_name, "desktop", "phone")
         reverse = self.net.path("phone", "desktop", server_name)
         return forward, reverse
-
-    def rtt_to(self, server_name: str) -> float:
-        """Round-trip propagation time phone <-> server."""
-        forward, _ = self.server_paths(server_name)
-        return 2.0 * (forward.propagation_delay())

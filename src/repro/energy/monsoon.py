@@ -34,20 +34,6 @@ class PowerTrace:
             raise ValueError("empty trace")
         return sum(p for _, p in self.samples) / len(self.samples)
 
-    def energy_j(self) -> float:
-        """Integrated energy over the recording (trapezoid-free: uniform
-        sampling makes the mean × duration exact enough)."""
-        if len(self.samples) < 2:
-            raise ValueError("need at least two samples")
-        duration = self.samples[-1][0] - self.samples[0][0]
-        return self.average_mw() / 1000.0 * duration
-
-    def export_csv(self) -> str:
-        """PowerTool-like CSV export."""
-        lines = ["time_s,power_mw"]
-        lines.extend(f"{t:.3f},{p:.2f}" for t, p in self.samples)
-        return "\n".join(lines) + "\n"
-
 
 class MonsoonMonitor:
     """Records power traces of app states with realistic variation.

@@ -99,17 +99,6 @@ def state_power_mw(
     return power
 
 
-def figure7_table(model: ComponentPowerModel = GALAXY_S4_MODEL):
-    """All fourteen bars of Figure 7: {state: (wifi_mw, lte_mw)}."""
-    return {
-        state: (
-            state_power_mw(state, Radio.WIFI, model),
-            state_power_mw(state, Radio.LTE, model),
-        )
-        for state in AppState
-    }
-
-
 #: The paper's Figure 7 values (mW), for comparison in benches/tests.
 PAPER_FIGURE7_MW = {
     AppState.HOME_SCREEN: (1067.0, 1006.0),

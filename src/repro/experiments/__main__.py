@@ -61,7 +61,6 @@ from repro.obs.export import (
     render_health,
     render_prometheus,
     render_summary,
-    write_trace_jsonl,
 )
 
 #: name -> (needs_workbench, runner).  Runners receive the shared
@@ -229,10 +228,10 @@ def main(argv: Optional[list] = None) -> int:
         if telemetry is not None:
             if args.trace_out is not None:
                 if args.trace_out == "-":
-                    _write_output("-", telemetry.tracer.to_jsonl())
+                    telemetry.tracer.write_jsonl(sys.stdout)
                 else:
                     with open(args.trace_out, "w", encoding="utf-8") as sink:
-                        write_trace_jsonl(telemetry, sink)
+                        telemetry.tracer.write_jsonl(sink)
                     print(f"trace: {len(telemetry.tracer.spans)} spans -> "
                           f"{args.trace_out}")
             if args.metrics is not None:

@@ -164,9 +164,6 @@ class FlapSchedule:
                 break
         return t
 
-    def down_at(self, t: float) -> bool:
-        return self.defer(t) > t
-
 
 class LinkImpairment:
     """Everything wrong with one link, applied inside ``Link.send``.

@@ -102,10 +102,6 @@ class RetrySchedule:
             return None
         return delay
 
-    @property
-    def exhausted(self) -> bool:
-        return self.policy.delay_for(max(1, self.attempts)) is None
-
 
 #: The crawler's historical behaviour was a constant 2 s backoff with no
 #: cap; the migrated default keeps the first retry at 2 s but bounds the

@@ -20,14 +20,12 @@ from repro.media.bitstream import (
     FrameStreamParser,
     encode_audio_frame,
     encode_video_frame,
-    parse_stream,
 )
 
 __all__ = [
     "FrameStreamParser",
     "encode_audio_frame",
     "encode_video_frame",
-    "parse_stream",
     "ContentProfile",
     "ContentProcess",
     "CONTENT_PROFILES",

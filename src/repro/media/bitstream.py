@@ -173,12 +173,3 @@ class FrameStreamParser:
         frame = AudioFrame(index=self._audio_index, pts=pts, nbytes=payload_len)
         self._audio_index += 1
         return frame
-
-
-def parse_stream(data: bytes) -> List[ParsedFrame]:
-    """One-shot parse of a complete elementary stream."""
-    parser = FrameStreamParser()
-    frames = parser.feed(data)
-    if parser.pending_bytes:
-        raise ValueError(f"{parser.pending_bytes} trailing bytes not parseable")
-    return frames

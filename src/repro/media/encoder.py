@@ -129,7 +129,6 @@ class VideoEncoder:
             target_bps=settings.target_bps, fps=settings.nominal_fps
         )
         self._frame_index = 0
-        self._bits_total = 0.0
         self._qp_sum = 0.0
         self._frames_encoded = 0
 
@@ -138,12 +137,6 @@ class VideoEncoder:
     @property
     def frames_encoded(self) -> int:
         return self._frames_encoded
-
-    def average_bitrate_bps(self, duration_s: float) -> float:
-        """Mean output bitrate over an encoded duration."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        return self._bits_total / duration_s
 
     @property
     def average_qp(self) -> float:
@@ -229,7 +222,6 @@ class VideoEncoder:
             )
             self._frame_index += 1
             self._frames_encoded += 1
-            self._bits_total += nbytes * 8
             self._qp_sum += qp
             yield frame
 

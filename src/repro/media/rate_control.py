@@ -46,17 +46,6 @@ def bits_for_frame(frame_type: str, qp: float, complexity: float) -> float:
     return BASE_P_FRAME_BITS * TYPE_FACTOR[frame_type] * complexity * scale
 
 
-def qp_for_bits(frame_type: str, target_bits: float, complexity: float) -> float:
-    """Invert the R-QP model: QP that hits ``target_bits``, clamped."""
-    import math
-
-    if target_bits <= 0:
-        raise ValueError("target bits must be positive")
-    base = BASE_P_FRAME_BITS * TYPE_FACTOR[frame_type] * complexity
-    qp = QP_REF - 6.0 * math.log2(target_bits / base)
-    return min(max(qp, QP_MIN), QP_MAX)
-
-
 @dataclass
 class RateControllerState:
     """Observable internals, exported for tests and ablations."""

@@ -45,17 +45,6 @@ class HlsSegment:
             f.nbytes for f in self.audio_frames
         )
 
-    @property
-    def frame_count(self) -> int:
-        return len(self.video_frames)
-
-    def bitrate_bps(self) -> float:
-        """Average media bitrate of the segment."""
-        duration = self.duration_s
-        if duration <= 0:
-            return 0.0
-        return self.nbytes * 8.0 / duration
-
     def average_qp(self) -> float:
         if not self.video_frames:
             raise ValueError("empty segment has no QP")

@@ -11,7 +11,7 @@ used by the reconstruction pipeline in :mod:`repro.capture`.
 from repro.netsim.events import EventLoop, Event
 from repro.netsim.packet import Packet, PacketRecord
 from repro.netsim.link import Link, TokenBucketShaper
-from repro.netsim.host import Host, Interface
+from repro.netsim.host import Host
 from repro.netsim.connection import Connection, Message, Path
 from repro.netsim.trace import TraceCapture
 
@@ -23,7 +23,6 @@ __all__ = [
     "Link",
     "TokenBucketShaper",
     "Host",
-    "Interface",
     "Connection",
     "Message",
     "Path",

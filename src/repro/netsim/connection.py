@@ -111,10 +111,6 @@ class Path:
         for host in self.hosts[1:]:
             host.unbind_flow(flow_id)
 
-    def propagation_delay(self) -> float:
-        """Sum of propagation delays along the path."""
-        return sum(link.delay_s for link in self.links)
-
 
 class Connection:
     """A bidirectional reliable stream between two hosts.

@@ -63,10 +63,6 @@ class DuplexStream:
         if handler is not None:
             handler(message, t)
 
-    @property
-    def a_host(self):
-        return self._a_to_b.src
-
     def send_from_a(self, message: Message) -> Message:
         """Transmit toward endpoint b."""
         return self._a_to_b.send(message)

@@ -73,13 +73,3 @@ class Host:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Host({self.name!r})"
-
-
-class Interface:
-    """Convenience alias kept for symmetry with real stacks: terminating a
-    link at a host is the only interface operation the simulator needs."""
-
-    def __init__(self, host: Host, link: Link) -> None:
-        self.host = host
-        self.link = link
-        host.terminate(link)

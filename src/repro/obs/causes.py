@@ -133,10 +133,6 @@ class AttributionRecord:
             total += self.causes[cause]
         return total
 
-    @property
-    def unattributed_s(self) -> float:
-        return max(0.0, self.duration - self.attributed_s)
-
     def dominant(self) -> Optional[str]:
         """The cause with the most attributed seconds (ties break on
         the lexically greater tag, deterministically)."""

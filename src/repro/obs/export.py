@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.util.tables import render_table
 from repro.obs import HealthMonitor, Telemetry
@@ -291,11 +291,6 @@ def render_summary(telemetry: Telemetry) -> str:
         parts.append(render_health(telemetry))
 
     return "\n".join(parts) if parts else "(no telemetry recorded)"
-
-
-def write_trace_jsonl(telemetry: Telemetry, sink: IO[str]) -> int:
-    """Write the trace to an open text stream; returns spans written."""
-    return telemetry.tracer.write_jsonl(sink)
 
 
 # --------------------------------------------------------- stall forensics

@@ -93,14 +93,3 @@ class EventLoopProfiler:
         ]
         rows.sort(key=lambda row: (-row[2], row[0]))
         return rows
-
-    def attributed_fraction(self, total_events: int) -> float:
-        """Share of ``total_events`` this profiler saw and named.
-
-        With no events fired and none profiled the attribution is
-        vacuously complete; profiled events against an empty
-        denominator are unattributable, not fully attributed.
-        """
-        if total_events <= 0:
-            return 0.0 if self.events_profiled > 0 else 1.0
-        return self.events_profiled / total_events

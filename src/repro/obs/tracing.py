@@ -125,13 +125,6 @@ class Tracer:
 
     # --------------------------------------------------------------- export
 
-    def to_jsonl(self) -> str:
-        """The whole trace as JSON Lines (one span per line)."""
-        return "\n".join(
-            json.dumps(span.to_dict(), separators=(",", ":"))
-            for span in self.spans
-        )
-
     def write_jsonl(self, sink: IO[str]) -> int:
         """Write the trace to an open text file; returns spans written."""
         for span in self.spans:

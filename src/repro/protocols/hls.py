@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,12 @@ class LiveWindow:
         self.window_size = window_size
         self._entries: List[PlaylistEntry] = []
         self._next_sequence = 0
-        self.ended = False
         #: Rendered playlist shared by every poll between mutations.
         #: Consumers treat playlists as read-only snapshots.
         self._playlist_cache: Optional[MediaPlaylist] = None
 
     def add_segment(self, uri: str, duration_s: float) -> PlaylistEntry:
         """Publish a newly completed segment."""
-        if self.ended:
-            raise RuntimeError("cannot add segments after end of stream")
         entry = PlaylistEntry(uri=uri, duration_s=duration_s, sequence=self._next_sequence)
         self._next_sequence += 1
         self._entries.append(entry)
@@ -203,10 +200,6 @@ class LiveWindow:
             self._entries.pop(0)
         self._playlist_cache = None
         return entry
-
-    def end_stream(self) -> None:
-        self.ended = True
-        self._playlist_cache = None
 
     @property
     def newest_sequence(self) -> int:
@@ -218,7 +211,7 @@ class LiveWindow:
         A live origin is polled once per target duration by *every*
         viewer; between mutations all polls see the same text, so the
         built playlist (and through it the rendered bytes) is cached and
-        rebuilt only when a segment is published or the stream ends.
+        rebuilt only when a segment is published.
         """
         cached = self._playlist_cache
         if cached is not None:
@@ -228,11 +221,6 @@ class LiveWindow:
             target_duration_s=self.target_duration_s,
             media_sequence=media_sequence,
             entries=list(self._entries),
-            ended=self.ended,
         )
         self._playlist_cache = built
         return built
-
-    def entries_after(self, sequence: int) -> Sequence[PlaylistEntry]:
-        """Segments newer than ``sequence`` still inside the window."""
-        return [e for e in self._entries if e.sequence > sequence]

@@ -108,14 +108,6 @@ def _encode_pts(marker: int, value_90khz: int) -> bytes:
     return bytes([b0]) + struct.pack(">H", b12) + struct.pack(">H", b34)
 
 
-def _decode_pts(data: bytes) -> int:
-    """Invert :func:`_encode_pts` (marker bits ignored)."""
-    v = ((data[0] >> 1) & 0x7) << 30
-    v |= (struct.unpack(">H", data[1:3])[0] >> 1) << 15
-    v |= struct.unpack(">H", data[3:5])[0] >> 1
-    return v
-
-
 def pes_packet(stream_id: int, es_payload: bytes, pts_s: float, dts_s: Optional[float] = None) -> bytes:
     """Build one PES packet carrying ``es_payload`` with PTS (and DTS)."""
     if pts_s < 0:
@@ -216,6 +208,9 @@ def demux_segment(data: bytes) -> DemuxResult:
 
     Validates sync bytes, walks PAT -> PMT to find the elementary PIDs,
     reassembles PES payloads per PID and parses the frame records.
+    Raises ``ValueError`` on malformed input, including a segment
+    without a PMT, and a PAT or PMT whose CRC32 fails or whose section
+    length runs past its data.
     """
     if len(data) % TS_PACKET_SIZE != 0:
         raise ValueError(
@@ -253,20 +248,26 @@ def demux_segment(data: bytes) -> DemuxResult:
         body = packet[4:]
         if afc & 0b10:  # adaptation field present
             af_length = body[0]
+            if 1 + af_length > len(body):
+                raise ValueError(f"adaptation field runs past packet {packet_count}")
             body = body[1 + af_length :]
         if not afc & 0b01:
             continue  # no payload
 
         if pid == PID_PAT or (pmt_pid is not None and pid == pmt_pid):
             if pusi:
-                pointer = body[0]
-                psi_payloads[pid] = bytes(body[1 + pointer :])
+                if not body or 1 + body[0] > len(body):
+                    raise ValueError(f"pointer field runs past packet {packet_count}")
+                psi_payloads[pid] = bytes(body[1 + body[0] :])
             else:
                 psi_payloads[pid] = psi_payloads.get(pid, b"") + bytes(body)
+            section = _complete_section(psi_payloads[pid])
+            if section is None:
+                continue  # the section goes on in the next packet
             if pid == PID_PAT and pmt_pid is None:
-                pmt_pid = _parse_pat(psi_payloads[pid])
+                pmt_pid = _parse_pat(section)
             elif pid == pmt_pid and not pmt_streams:
-                pmt_streams.update(_parse_pmt(psi_payloads[pid]))
+                pmt_streams.update(_parse_pmt(section))
             continue
 
         if pmt_streams and pid not in pmt_streams:
@@ -276,6 +277,11 @@ def demux_segment(data: bytes) -> DemuxResult:
             pes_buffers[pid] = bytearray()
         pes_buffers.setdefault(pid, bytearray()).extend(body)
 
+    for pid, payload in psi_payloads.items():
+        if _complete_section(payload) is None:
+            raise ValueError(f"PSI section on PID {pid:#x} runs past its data")
+    if not pmt_streams:
+        raise ValueError("segment carries no PMT listing its streams")
     for pid in list(pes_buffers):
         flush_pes(pid)
 
@@ -300,13 +306,29 @@ def demux_segment(data: bytes) -> DemuxResult:
     )
 
 
+def _complete_section(payload: bytes) -> Optional[bytes]:
+    """The PSI section at the start of ``payload``, CRC-checked, or None
+    while its ``section_length`` still runs past the bytes received."""
+    if len(payload) < 3:
+        return None
+    end = 3 + (struct.unpack(">H", payload[1:3])[0] & 0x0FFF)
+    if end > len(payload):
+        return None
+    section = payload[:end]
+    # The CRC of a section that ends in its own CRC32 leaves no residue.
+    if end < 12 or crc32_mpeg(section) != 0:
+        raise ValueError(
+            f"PSI section with table id {payload[0]:#x} is truncated or fails its CRC32"
+        )
+    return section
+
+
 def _parse_pat(section: bytes) -> int:
-    """Extract the PMT PID from a PAT section."""
+    """Extract the PMT PID from a CRC-checked PAT section."""
     if section[0] != 0x00:
         raise ValueError("PAT has wrong table id")
-    length = struct.unpack(">H", section[1:3])[0] & 0x0FFF
-    body = section[8 : 3 + length - 4]
-    for entry_offset in range(0, len(body), 4):
+    body = section[8:-4]
+    for entry_offset in range(0, len(body) - 3, 4):
         program, pid_word = struct.unpack(">HH", body[entry_offset : entry_offset + 4])
         if program != 0:
             return pid_word & 0x1FFF
@@ -314,12 +336,11 @@ def _parse_pat(section: bytes) -> int:
 
 
 def _parse_pmt(section: bytes) -> Dict[int, int]:
-    """Extract PID -> stream_type from a PMT section."""
-    if section[0] != 0x02:
-        raise ValueError("PMT has wrong table id")
-    length = struct.unpack(">H", section[1:3])[0] & 0x0FFF
+    """Extract PID -> stream_type from a CRC-checked PMT section."""
+    if section[0] != 0x02 or len(section) < 16:
+        raise ValueError("PMT has wrong table id or no program info")
     program_info_len = struct.unpack(">H", section[10:12])[0] & 0x0FFF
-    body = section[12 + program_info_len : 3 + length - 4]
+    body = section[12 + program_info_len : -4]
     streams: Dict[int, int] = {}
     offset = 0
     while offset + 5 <= len(body):
@@ -337,17 +358,3 @@ def _strip_pes_header(pes: bytes) -> bytes:
         raise ValueError("PES start code missing")
     header_data_length = pes[8]
     return pes[9 + header_data_length :]
-
-
-def extract_timestamps(pes: bytes) -> Tuple[Optional[float], Optional[float]]:
-    """Recover (pts, dts) seconds from one PES packet (None if absent)."""
-    if pes[:3] != b"\x00\x00\x01":
-        raise ValueError("PES start code missing")
-    flags2 = pes[7]
-    header = pes[9 : 9 + pes[8]]
-    pts = dts = None
-    if flags2 & 0x80:
-        pts = _decode_pts(header[:5]) / PES_CLOCK_HZ
-    if flags2 & 0x40:
-        dts = _decode_pts(header[5:10]) / PES_CLOCK_HZ
-    return pts, dts

@@ -10,11 +10,12 @@ Two layers live here:
 
 * a byte-level implementation of the RTMP **chunk stream** (format-0
   headers with the 11-byte message header, format-3 continuation chunks,
-  configurable chunk size) carrying FLV-tagged media — enough for the
-  capture pipeline to dissect streams the way wireshark's RTMP dissector
-  does; and
-* :class:`RtmpPushSession` / :class:`RtmpReceiver`, the transport glue
-  that runs the protocol over a simulated connection.
+  configurable chunk size) carrying media messages whose body is an FLV
+  tag body: one codec marker byte, then the elementary-stream record —
+  enough for the capture pipeline to dissect streams the way wireshark's
+  RTMP dissector does; and
+* :class:`RtmpPushSession`, the server side that runs the protocol over
+  a simulated connection.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.media.bitstream import (
     FrameStreamParser,
+    encode_audio_frame,
+    encode_video_frame,
     encoded_audio_size,
     encoded_video_size,
 )
 from repro.media.frames import AudioFrame, EncodedFrame
 from repro.netsim.connection import Connection, Message
-from repro.protocols import flv
 
 #: Default maximum chunk payload negotiated via Set Chunk Size (modern
 #: servers immediately raise it from the spec default of 128).
@@ -45,6 +47,14 @@ HANDSHAKE_C2 = 1536
 
 #: TCP port Periscope serves plaintext RTMP on (80, to dodge firewalls).
 RTMP_PORT = 80
+
+#: First byte of an FLV video tag body: frame type (1 = key, 2 = inter)
+#: << 4 | codec id (7 = AVC).
+VIDEO_KEY_MARKER = (1 << 4) | 7
+VIDEO_INTER_MARKER = (2 << 4) | 7
+#: First byte of an FLV audio tag body: AAC (10) << 4 | 44 kHz (3) << 2
+#: | 16-bit (1) << 1 | stereo.
+AUDIO_AAC_MARKER = (10 << 4) | (3 << 2) | (1 << 1) | 1
 
 
 class RtmpMessageType(enum.IntEnum):
@@ -195,9 +205,7 @@ class ChunkParser:
 
 def video_message(frame: EncodedFrame) -> RtmpMessage:
     """Wrap an encoded video frame as an RTMP video message (FLV body)."""
-    marker = flv._VIDEO_KEY if frame.frame_type == "I" else flv._VIDEO_INTER
-    from repro.media.bitstream import encode_video_frame
-
+    marker = VIDEO_KEY_MARKER if frame.frame_type == "I" else VIDEO_INTER_MARKER
     return RtmpMessage(
         msg_type=RtmpMessageType.VIDEO,
         timestamp_ms=int(round(frame.dts * 1000)),
@@ -207,12 +215,10 @@ def video_message(frame: EncodedFrame) -> RtmpMessage:
 
 def audio_message(frame: AudioFrame) -> RtmpMessage:
     """Wrap an audio frame as an RTMP audio message (FLV body)."""
-    from repro.media.bitstream import encode_audio_frame
-
     return RtmpMessage(
         msg_type=RtmpMessageType.AUDIO,
         timestamp_ms=int(round(frame.pts * 1000)),
-        payload=bytes([flv._AUDIO_AAC_44K]) + encode_audio_frame(frame),
+        payload=bytes([AUDIO_AAC_MARKER]) + encode_audio_frame(frame),
         chunk_stream_id=5,
     )
 
@@ -229,9 +235,6 @@ def media_frame_of(message: RtmpMessage) -> Union[EncodedFrame, AudioFrame]:
 
 
 # ----------------------------------------------------------- simulated session
-
-
-FrameCallback = Callable[[Union[EncodedFrame, AudioFrame], float], None]
 
 
 class RtmpPushSession:
@@ -292,19 +295,3 @@ def _chunked_payload_size(payload_len: int, chunk_size: int = DEFAULT_CHUNK_SIZE
     if n_continuations < 0:
         n_continuations = 0
     return 12 + payload_len + n_continuations
-
-
-class RtmpReceiver:
-    """Client side: hand arriving media frames to the player."""
-
-    def __init__(self, on_frame: FrameCallback) -> None:
-        self.on_frame = on_frame
-        self.frames_received = 0
-
-    def on_message(self, message: Message, now: float) -> None:
-        """Connection callback: unwrap the frame and forward it."""
-        if message.annotations.get("protocol") != "rtmp":
-            return
-        frame = message.payload
-        self.frames_received += 1
-        self.on_frame(frame, now)

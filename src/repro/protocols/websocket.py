@@ -1,107 +1,15 @@
-"""WebSocket framing for the chat channel.
+"""WebSocket frame sizes and messages for the chat channel.
 
-Periscope delivers chat over WebSockets; the study's traffic analysis
-only needs frame sizes and the JSON payloads, but the frame layer is
-implemented for real (RFC 6455 base framing: FIN/opcode, 7/16/64-bit
-lengths, client-side masking) so captures of the chat flow can be
-dissected like any other.
+Periscope delivers chat over WebSockets.  The study's traffic analysis
+needs only each frame's wire size (RFC 6455 base framing: a 2, 4 or
+10-byte header by payload length, plus a 4-byte mask key on
+client-to-server frames) and the JSON payloads, so chat runs at token
+fidelity and no frame is ever serialized.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
-
-OPCODE_TEXT = 0x1
-OPCODE_BINARY = 0x2
-OPCODE_CLOSE = 0x8
-OPCODE_PING = 0x9
-OPCODE_PONG = 0xA
-
-#: Bytes of a masked text frame header for payloads under 126 bytes.
-MIN_CLIENT_HEADER = 6
-
-
-def encode_frame(
-    payload: bytes,
-    opcode: int = OPCODE_TEXT,
-    mask_key: Optional[bytes] = None,
-    fin: bool = True,
-) -> bytes:
-    """Serialize one WebSocket frame.  ``mask_key`` (4 bytes) enables
-    client-to-server masking as RFC 6455 requires."""
-    if mask_key is not None and len(mask_key) != 4:
-        raise ValueError("mask key must be exactly 4 bytes")
-    byte0 = (0x80 if fin else 0x00) | (opcode & 0x0F)
-    length = len(payload)
-    mask_bit = 0x80 if mask_key is not None else 0x00
-    if length < 126:
-        header = bytes([byte0, mask_bit | length])
-    elif length < 1 << 16:
-        header = bytes([byte0, mask_bit | 126]) + struct.pack(">H", length)
-    else:
-        header = bytes([byte0, mask_bit | 127]) + struct.pack(">Q", length)
-    if mask_key is None:
-        return header + payload
-    masked = bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
-    return header + mask_key + masked
-
-
-@dataclass(frozen=True)
-class WsFrame:
-    """One parsed WebSocket frame."""
-
-    opcode: int
-    payload: bytes
-    fin: bool
-    masked: bool
-
-    def text(self) -> str:
-        return self.payload.decode("utf-8")
-
-    def json(self) -> Dict[str, Any]:
-        return json.loads(self.payload)
-
-
-def decode_frames(data: bytes) -> Tuple[List[WsFrame], bytes]:
-    """Parse as many complete frames as possible; return (frames, rest)."""
-    frames: List[WsFrame] = []
-    offset = 0
-    while True:
-        if len(data) - offset < 2:
-            break
-        byte0, byte1 = data[offset], data[offset + 1]
-        fin = bool(byte0 & 0x80)
-        opcode = byte0 & 0x0F
-        masked = bool(byte1 & 0x80)
-        length = byte1 & 0x7F
-        cursor = offset + 2
-        if length == 126:
-            if len(data) - cursor < 2:
-                break
-            length = struct.unpack(">H", data[cursor : cursor + 2])[0]
-            cursor += 2
-        elif length == 127:
-            if len(data) - cursor < 8:
-                break
-            length = struct.unpack(">Q", data[cursor : cursor + 8])[0]
-            cursor += 8
-        mask_key = b""
-        if masked:
-            if len(data) - cursor < 4:
-                break
-            mask_key = data[cursor : cursor + 4]
-            cursor += 4
-        if len(data) - cursor < length:
-            break
-        payload = data[cursor : cursor + length]
-        if masked:
-            payload = bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
-        frames.append(WsFrame(opcode=opcode, payload=payload, fin=fin, masked=masked))
-        offset = cursor + length
-    return frames, data[offset:]
+from typing import Any, Dict
 
 
 def text_frame_size(text: str, masked: bool = False) -> int:

@@ -9,7 +9,7 @@ downloads dominate the traffic when the chat UI is on.
 """
 
 from repro.service.geo import GeoPoint, GeoRect, POPULATION_CENTERS, PopulationCenter
-from repro.service.broadcast import Broadcast, BroadcastState
+from repro.service.broadcast import Broadcast
 from repro.service.world import ServiceWorld, WorldParameters
 from repro.service.api import ApiServer, RateLimiter, ApiError
 from repro.service.ingest import CdnEdge, IngestPool, RtmpIngestServer
@@ -32,7 +32,6 @@ __all__ = [
     "POPULATION_CENTERS",
     "PopulationCenter",
     "Broadcast",
-    "BroadcastState",
     "ServiceWorld",
     "WorldParameters",
     "ApiServer",

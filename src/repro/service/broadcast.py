@@ -15,7 +15,6 @@ Population statistics are calibrated to Section 4 of the paper:
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 import string
@@ -38,9 +37,6 @@ ZERO_VIEWER_REPLAY_PROB = 0.17
 #: Replay availability for viewed broadcasts (not reported; plausible).
 VIEWED_REPLAY_PROB = 0.62
 
-#: Chat stops accepting new senders once this many viewers joined.
-CHAT_FULL_VIEWERS = 150
-
 #: Shape parameters of the audience curve: quick ramp to a peak early
 #: in the broadcast, then slow exponential decay.
 AUDIENCE_RAMP_FRACTION = 0.15
@@ -50,14 +46,6 @@ AUDIENCE_DECAY_RATE = 1.2
 _AUDIENCE_CURVE_INTEGRAL = AUDIENCE_RAMP_FRACTION / 2.0 + (
     1.0 - AUDIENCE_RAMP_FRACTION
 ) / AUDIENCE_DECAY_RATE * (1.0 - math.exp(-AUDIENCE_DECAY_RATE))
-
-
-class BroadcastState(enum.Enum):
-    """Where a broadcast is in its lifecycle at a given instant."""
-
-    SCHEDULED = "scheduled"
-    LIVE = "live"
-    ENDED = "ended"
 
 
 #: ``bytes.translate`` table from the top byte of a 32-bit generator
@@ -157,29 +145,14 @@ class Broadcast:
     def end_time(self) -> float:
         return self.start_time + self.duration_s
 
-    def state_at(self, t: float) -> BroadcastState:
-        if t < self.start_time:
-            return BroadcastState.SCHEDULED
-        if t < self.end_time:
-            return BroadcastState.LIVE
-        return BroadcastState.ENDED
-
     def is_live_at(self, t: float) -> bool:
-        """``t`` lies in ``[start_time, end_time)``, the interval
-        :meth:`state_at` calls LIVE."""
+        """``t`` lies in ``[start_time, end_time)``, the broadcast's live
+        interval."""
         return self.start_time <= t < self.start_time + self.duration_s
 
     @property
     def has_viewers(self) -> bool:
         return self.mean_viewers > 0
-
-    @property
-    def utc_offset_hours(self) -> int:
-        return self.center.utc_offset_hours
-
-    def local_start_hour(self) -> float:
-        """Broadcaster-local start hour (the Fig. 2(b) x axis)."""
-        return ((self.start_time / 3600.0) + self.utc_offset_hours) % 24.0
 
     # ----------------------------------------------------------- viewer curve
 
@@ -202,10 +175,6 @@ class Broadcast:
         else:
             shape = math.exp(-AUDIENCE_DECAY_RATE * (x - ramp) / (1.0 - ramp))
         return self.mean_viewers * shape / _AUDIENCE_CURVE_INTEGRAL
-
-    def chat_is_full_at(self, t: float) -> bool:
-        """New joiners cannot send messages once the chat filled up."""
-        return self.viewers_at(t) >= CHAT_FULL_VIEWERS
 
     def description(self, t: float) -> dict:
         """The JSON description /getBroadcasts returns for this id."""

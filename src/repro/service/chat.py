@@ -168,14 +168,3 @@ class ChatFeed:
                 "Avatar downloads triggered by join bursts",
             ).inc(sum(1 for m in burst if m.has_avatar))
         return burst
-
-    def expected_avatar_bps(self) -> float:
-        """Rough downstream avatar traffic with chat on (no caching): every
-        avatar-bearing message triggers a full image download."""
-        if not self._chatters:
-            return 0.0
-        mean_avatar = sum(
-            nbytes for _, has, nbytes in self._chatters if has
-        ) / max(1, sum(1 for _, has, _ in self._chatters if has))
-        avatar_share = sum(1 for _, has, _ in self._chatters if has) / len(self._chatters)
-        return self.message_rate_per_s * avatar_share * mean_avatar * 8.0

@@ -75,25 +75,15 @@ class UplinkModel:
             length = rng.uniform(self.outage_min_s, self.outage_max_s)
             outages.append((t, t + length))
 
-    def arrival_time(
-        self,
-        capture_time: float,
-        rng: random.Random,
-        outages: Sequence[Tuple[float, float]],
-    ) -> float:
-        """When a frame captured at ``capture_time`` reaches the ingest
-        server: base delay + jitter, deferred past any outage."""
-        arrival, _ = self.arrival_with_defer(capture_time, rng, outages)
-        return arrival
-
     def arrival_with_defer(
         self,
         capture_time: float,
         rng: random.Random,
         outages: Sequence[Tuple[float, float]],
     ) -> Tuple[float, float]:
-        """:meth:`arrival_time` plus the seconds an outage deferred the
-        frame (0.0 when no outage was in the way)."""
+        """When a frame captured at ``capture_time`` reaches the ingest
+        server (base delay + jitter, deferred past any outage), and the
+        seconds an outage deferred it (0.0 when none was in the way)."""
         base = capture_time + self.base_delay_s + abs(rng.gauss(0.0, self.jitter_s))
         arrival = base
         for outage_start, outage_end in outages:

@@ -56,16 +56,6 @@ class GeoRect:
     def world(cls) -> "GeoRect":
         return cls(south=-90.0, west=-180.0, north=90.0, east=180.0)
 
-    def contains(self, point: GeoPoint) -> bool:
-        return (
-            self.south <= point.lat <= self.north
-            and self.west <= point.lon <= self.east
-        )
-
-    @property
-    def area_deg2(self) -> float:
-        return (self.north - self.south) * (self.east - self.west)
-
     def quadrants(self) -> Tuple["GeoRect", "GeoRect", "GeoRect", "GeoRect"]:
         """Split into four equal sub-rectangles (the deep crawl's zoom)."""
         mid_lat = (self.south + self.north) / 2.0

@@ -43,11 +43,6 @@ class RtmpIngestServer:
     location: GeoPoint
     ip: str
 
-    def reverse_dns(self) -> str:
-        """The EC2-style reverse-lookup name the paper used to identify
-        these servers."""
-        return f"ec2-{self.ip.replace('.', '-')}.{self.region}.compute.amazonaws.com"
-
 
 @dataclass(frozen=True)
 class CdnEdge:

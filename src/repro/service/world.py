@@ -169,8 +169,8 @@ class ServiceWorld:
         viewed first) — zooming in reveals more."""
         cap = cap if cap is not None else self.params.map_response_cap
         # Every map request of a crawl scans the whole live set, so the
-        # scan makes no call per broadcast: Broadcast.is_live_at and
-        # GeoRect.contains are inlined.
+        # scan makes no call per broadcast: Broadcast.is_live_at and the
+        # edge-inclusive rectangle test are inlined.
         now = self._now
         south, west, north, east = rect.south, rect.west, rect.north, rect.east
         matches = [

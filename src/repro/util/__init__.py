@@ -9,20 +9,16 @@ from repro.util.units import (
     MBPS,
     GBPS,
     BYTE,
-    KB,
-    MB,
     bits_to_bytes,
     bytes_to_bits,
     format_bitrate,
-    format_bytes,
     format_duration,
 )
-from repro.util.rng import SeedSequence, child_rng, make_rng
+from repro.util.rng import child_rng, make_rng
 from repro.util.sampling import (
     bounded_lognormal,
     bounded_pareto,
     diurnal_weight,
-    weighted_choice,
 )
 from repro.util.empirical import Ecdf, FiveNumberSummary, ecdf, five_number_summary
 
@@ -31,20 +27,15 @@ __all__ = [
     "MBPS",
     "GBPS",
     "BYTE",
-    "KB",
-    "MB",
     "bits_to_bytes",
     "bytes_to_bits",
     "format_bitrate",
-    "format_bytes",
     "format_duration",
-    "SeedSequence",
     "child_rng",
     "make_rng",
     "bounded_lognormal",
     "bounded_pareto",
     "diurnal_weight",
-    "weighted_choice",
     "Ecdf",
     "FiveNumberSummary",
     "ecdf",

@@ -39,32 +39,3 @@ def child_rng(parent_seed: Seedable, *path: Seedable) -> random.Random:
     statistically independent from ``child_rng(42, "encoder")``.
     """
     return random.Random(_digest(parent_seed, *path))
-
-
-class SeedSequence:
-    """A named tree of independent random streams rooted at one seed.
-
-    >>> seeds = SeedSequence(42)
-    >>> r1 = seeds.rng("service")
-    >>> r2 = seeds.rng("service")   # same stream state, fresh object
-    >>> r1.random() == r2.random()
-    True
-    """
-
-    def __init__(self, seed: Seedable) -> None:
-        self.seed = seed
-
-    def rng(self, *path: Seedable) -> random.Random:
-        """Return a fresh RNG for the named child stream."""
-        return child_rng(self.seed, *path)
-
-    def spawn(self, *path: Seedable) -> "SeedSequence":
-        """Return a child :class:`SeedSequence` rooted under ``path``."""
-        return SeedSequence(_digest(self.seed, *path))
-
-    def integer(self, *path: Seedable) -> int:
-        """Return a deterministic 64-bit integer for the named child."""
-        return _digest(self.seed, *path) & 0xFFFFFFFFFFFFFFFF
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SeedSequence(seed={self.seed!r})"

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import Tuple
 
 
 def bounded_lognormal(
@@ -98,21 +96,3 @@ def diurnal_weight(local_hour: float) -> float:
     hi = (lo + 1) % 24
     frac = hour - int(hour)
     return DIURNAL_PROFILE[lo] * (1.0 - frac) + DIURNAL_PROFILE[hi] * frac
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with probability proportional to its weight."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    pick = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if pick < acc:
-            return item
-    return items[-1]

@@ -20,10 +20,6 @@ GBPS = 1_000_000_000.0
 
 #: One byte in bytes (identity; for clarity).
 BYTE = 1
-#: One kilobyte (decimal) in bytes.
-KB = 1_000
-#: One megabyte (decimal) in bytes.
-MB = 1_000_000
 
 #: Milliseconds expressed in seconds.
 MS = 1e-3
@@ -57,17 +53,6 @@ def format_bitrate(bps: float) -> str:
     if bps >= KBPS:
         return f"{bps / KBPS:.1f} kbps"
     return f"{bps:.0f} bps"
-
-
-def format_bytes(nbytes: float) -> str:
-    """Render a byte count in the most natural decimal unit."""
-    if nbytes >= 1_000_000_000:
-        return f"{nbytes / 1_000_000_000:.2f} GB"
-    if nbytes >= MB:
-        return f"{nbytes / MB:.2f} MB"
-    if nbytes >= KB:
-        return f"{nbytes / KB:.1f} kB"
-    return f"{nbytes:.0f} B"
 
 
 def format_duration(seconds: float) -> str:

@@ -9,7 +9,6 @@ from repro.automation.ntp import (
     BROADCASTER_PHONE_CLOCK,
     CAPTURE_DESKTOP_CLOCK,
     ClockModel,
-    NtpSyncedClock,
 )
 from repro.automation.shaping import shaper_for_limit
 
@@ -42,10 +41,6 @@ class TestClocks:
         rng = random.Random(2)
         offsets = [BROADCASTER_PHONE_CLOCK.sample_offset(rng) for _ in range(200)]
         assert any(o < 0 for o in offsets) and any(o > 0 for o in offsets)
-
-    def test_synced_clock_reads(self):
-        clock = NtpSyncedClock(offset_s=0.05)
-        assert clock.read(10.0) == pytest.approx(10.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):

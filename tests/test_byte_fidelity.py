@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.capture.inspector import inspect_frames
+from repro.capture.reconstruct import reassemble_flows
 from repro.media.frames import AudioFrame, EncodedFrame
 from repro.netsim.connection import Connection
 from repro.netsim.events import EventLoop
@@ -55,9 +56,8 @@ class TestRtmpByteFidelity:
 
     def test_chunk_stream_reconstructs_from_capture(self):
         capture, received = self._run()
-        # Reassemble the byte stream from the captured packet chunks.
-        records = sorted(capture.data_records(), key=lambda r: r.seq)
-        stream_bytes = b"".join(r.chunk for r in records if r.chunk is not None)
+        (stream,) = reassemble_flows(capture).values()
+        stream_bytes = stream.data
         assert stream_bytes
         parser = rtmp.ChunkParser()
         messages = parser.feed(stream_bytes)
@@ -75,8 +75,8 @@ class TestRtmpByteFidelity:
 
     def test_dissected_media_inspectable(self):
         capture, _ = self._run(watch=12.0)
-        records = sorted(capture.data_records(), key=lambda r: r.seq)
-        stream_bytes = b"".join(r.chunk for r in records if r.chunk is not None)
+        (stream,) = reassemble_flows(capture).values()
+        stream_bytes = stream.data
         parser = rtmp.ChunkParser()
         frames = [rtmp.media_frame_of(m) for m in parser.feed(stream_bytes)
                   if m.msg_type in (rtmp.RtmpMessageType.AUDIO,

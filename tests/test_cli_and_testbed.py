@@ -58,13 +58,6 @@ class TestStudyConfig:
         assert config.scaled(1000) == 100
         assert config.scaled(3, minimum=5) == 5
 
-    def test_with_scale_copies(self):
-        base = StudyConfig(scale=0.05)
-        bigger = base.with_scale(1.0)
-        assert bigger.scale == 1.0
-        assert base.scale == 0.05
-        assert bigger.seed == base.seed
-
 
 class TestPathDelay:
     def test_floor_applies(self):
@@ -85,7 +78,7 @@ class TestSessionTestbed:
         loop, tb = self.make()
         tb.add_server("api", GeoPoint(37.8, -122.4))
         stream = tb.stream_to("api")
-        assert stream.a_host is tb.phone
+        assert stream._a_to_b.src is tb.phone
 
     def test_duplicate_server_rejected(self):
         loop, tb = self.make()
@@ -102,7 +95,12 @@ class TestSessionTestbed:
         loop, tb = self.make()
         tb.add_server("near", GeoPoint(60.0, 25.0))
         tb.add_server("far", GeoPoint(-33.9, 151.2))
-        assert tb.rtt_to("far") > tb.rtt_to("near")
+
+        def one_way_delay(name):
+            forward, _ = tb.server_paths(name)
+            return sum(link.delay_s for link in forward.links)
+
+        assert one_way_delay("far") > one_way_delay("near")
 
     def test_capture_taps_both_directions(self):
         loop, tb = self.make()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.qoe import SessionQoE, StallEvent, combine_sessions, stall_ratio
+from repro.core.qoe import SessionQoE, StallEvent, stall_ratio
 
 
 def make_qoe(**overrides):
@@ -24,14 +24,13 @@ def test_stall_derivations():
     qoe = make_qoe()
     assert qoe.stall_count == 1
     assert qoe.total_stall_s == 3.0
-    assert qoe.mean_stall_s == 3.0
     assert qoe.stall_ratio == pytest.approx(3.0 / 58.0)
 
 
 def test_no_stalls():
     qoe = make_qoe(stalls=[], playback_s=58.0)
     assert qoe.stall_ratio == 0.0
-    assert qoe.mean_stall_s == 0.0
+    assert qoe.total_stall_s == 0.0
 
 
 def test_consistency_check():
@@ -45,14 +44,6 @@ def test_delivery_latency_mean():
     assert make_qoe().delivery_latency_s is None
 
 
-def test_combine_sessions():
-    a = [make_qoe(device="galaxy-s3")]
-    b = [make_qoe(), make_qoe()]
-    merged = combine_sessions([a, b])
-    assert len(merged) == 3
-    assert merged[0].device == "galaxy-s3"
-
-
 def test_stall_ratio_function_edge_cases():
     assert stall_ratio(0.0, 0.0) == 0.0
     assert stall_ratio(30.0, 30.0) == 0.5
@@ -64,4 +55,4 @@ def test_multi_stall_mean():
     qoe = make_qoe(stalls=[StallEvent(5.0, 2.0), StallEvent(20.0, 4.0)],
                    playback_s=52.0)
     assert qoe.stall_count == 2
-    assert qoe.mean_stall_s == 3.0
+    assert qoe.total_stall_s == 6.0

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from oracles import area_deg2
 from repro.crawler.analysis import analyze_tracked
 from repro.crawler.client import CrawlHarness
 from repro.crawler.deep import DeepCrawler
@@ -62,7 +63,7 @@ class TestDeepCrawl:
         top = result.top_areas(16)
         assert len(top) == 16
         world_area = 360.0 * 180.0
-        assert all(rect.area_deg2 < world_area for rect in top)
+        assert all(area_deg2(rect) < world_area for rect in top)
 
     def test_cannot_start_twice_while_running(self):
         harness = CrawlHarness(seed=1, mean_concurrent=100)

@@ -141,8 +141,8 @@ class TestOutages:
         assert flaps.defer(0.5) == 0.5
         assert flaps.defer(1.5) == 2.0
         assert flaps.defer(6.0) == 6.5
-        assert flaps.down_at(5.1)
-        assert not flaps.down_at(3.0)
+        assert flaps.defer(5.1) == 6.5
+        assert flaps.defer(3.0) == 3.0
 
     def test_flap_schedule_rejects_overlap(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.media.bitstream import (
     FrameStreamParser,
     encode_audio_frame,
     encode_video_frame,
-    parse_stream,
 )
 from repro.media.content import CONTENT_PROFILES, ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
@@ -26,9 +25,17 @@ def video_frame(**overrides):
     return EncodedFrame(**defaults)
 
 
+def parse(data):
+    """Feed ``data`` to a fresh parser, which must consume every byte."""
+    parser = FrameStreamParser()
+    frames = parser.feed(data)
+    assert parser.pending_bytes == 0
+    return frames
+
+
 def test_video_roundtrip_plain():
     frame = video_frame()
-    parsed = parse_stream(encode_video_frame(frame))
+    parsed = parse(encode_video_frame(frame))
     assert len(parsed) == 1
     out = parsed[0]
     assert out.frame_type == "P"
@@ -41,13 +48,13 @@ def test_video_roundtrip_plain():
 
 def test_video_roundtrip_with_ntp():
     frame = video_frame(ntp_timestamp=1234567.25)
-    out = parse_stream(encode_video_frame(frame))[0]
+    out = parse(encode_video_frame(frame))[0]
     assert out.ntp_timestamp == pytest.approx(1234567.25)
 
 
 def test_audio_roundtrip():
     frame = AudioFrame(index=0, pts=0.5, nbytes=100)
-    out = parse_stream(encode_audio_frame(frame))[0]
+    out = parse(encode_audio_frame(frame))[0]
     assert isinstance(out, AudioFrame)
     assert out.nbytes == 100
     assert out.pts == pytest.approx(0.5)
@@ -59,7 +66,7 @@ def test_mixed_stream_order_preserved():
         + encode_audio_frame(AudioFrame(0, 0.1, 50))
         + encode_video_frame(video_frame(frame_type="B", pts=2.0))
     )
-    parsed = parse_stream(stream)
+    parsed = parse(stream)
     kinds = [type(f).__name__ for f in parsed]
     assert kinds == ["EncodedFrame", "AudioFrame", "EncodedFrame"]
 
@@ -80,14 +87,14 @@ def test_incremental_feed_any_chunking():
 @settings(max_examples=50)
 def test_roundtrip_property(nbytes, frame_type):
     frame = video_frame(nbytes=nbytes, frame_type=frame_type)
-    out = parse_stream(encode_video_frame(frame))[0]
+    out = parse(encode_video_frame(frame))[0]
     assert out.nbytes == nbytes
     assert out.frame_type == frame_type
 
 
 def test_corrupt_magic_raises():
     with pytest.raises(ValueError):
-        parse_stream(b"\x00\x01\x02")
+        parse(b"\x00\x01\x02")
 
 
 @pytest.mark.parametrize("code", [3, 0x41, 0xFF])
@@ -95,13 +102,14 @@ def test_corrupt_frame_type_raises_value_error(code):
     data = bytearray(encode_video_frame(video_frame()))
     data[1] = code  # the byte after the magic is the frame-type code
     with pytest.raises(ValueError, match="frame type"):
-        parse_stream(bytes(data))
+        parse(bytes(data))
 
 
 def test_trailing_garbage_detected():
     data = encode_video_frame(video_frame()) + b"\xf1\x00"  # truncated header
-    with pytest.raises(ValueError):
-        parse_stream(data)
+    parser = FrameStreamParser()
+    assert len(parser.feed(data)) == 1
+    assert parser.pending_bytes == 2
 
 
 def test_full_encoder_output_roundtrips():
@@ -109,7 +117,7 @@ def test_full_encoder_output_roundtrips():
     content = ContentProcess(CONTENT_PROFILES["static_talker"], random.Random(5))
     frames = VideoEncoder(settings, content, random.Random(6)).encode_all(10.0)
     stream = b"".join(encode_video_frame(f) for f in frames)
-    parsed = parse_stream(stream)
+    parsed = parse(stream)
     assert len(parsed) == len(frames)
     assert [f.frame_type for f in parsed] == [f.frame_type for f in frames]
     assert [f.nbytes for f in parsed] == [f.nbytes for f in frames]

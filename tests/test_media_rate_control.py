@@ -10,7 +10,6 @@ from repro.media.rate_control import (
     QP_REF,
     RateController,
     bits_for_frame,
-    qp_for_bits,
 )
 
 
@@ -38,16 +37,6 @@ def test_bits_validation():
         bits_for_frame("P", 5, 1.0)
     with pytest.raises(ValueError):
         bits_for_frame("P", 30, 0.0)
-
-
-def test_qp_for_bits_inverts_model():
-    bits = bits_for_frame("P", 33.5, 1.3)
-    assert qp_for_bits("P", bits, 1.3) == pytest.approx(33.5)
-
-
-def test_qp_for_bits_clamps():
-    assert qp_for_bits("P", 1e12, 1.0) == QP_MIN
-    assert qp_for_bits("P", 1e-6, 1.0) == QP_MAX
 
 
 def test_controller_validation():

@@ -113,7 +113,6 @@ def test_collector_windows_diff_against_base():
     assert record.dominant() == "link.queue"
     assert collector.records == [record]
     assert record.attributed_s == pytest.approx(0.7)
-    assert record.unattributed_s == pytest.approx(1.3)
 
 
 def _collector_with(context, cause_seconds, windows=0):

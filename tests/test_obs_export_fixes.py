@@ -1,6 +1,6 @@
 """Regression tests for the exposition-format and silent-data-loss fixes:
-label-value escaping, the missing HELP line, surfaced tracer/histogram
-truncation, and the attributed_fraction denominator bug."""
+label-value escaping, the missing HELP line, and surfaced
+tracer/histogram truncation."""
 
 from repro import obs
 from repro.obs.export import (
@@ -9,7 +9,7 @@ from repro.obs.export import (
     render_summary,
 )
 from repro.obs.metrics import Histogram
-from repro.obs.profiler import EventLoopProfiler, SiteStats
+from repro.obs.profiler import SiteStats
 
 
 # ------------------------------------------------------------- escaping
@@ -91,20 +91,3 @@ def test_exact_histogram_reports_no_drops():
         hist.observe(float(index))
     assert hist.exact
     assert hist.values_dropped == 0
-
-
-# ------------------------------------------------- attributed_fraction
-
-
-def test_attributed_fraction_zero_denominator_with_profiled_events():
-    profiler = EventLoopProfiler()
-    profiler.events_profiled = 4
-    assert profiler.attributed_fraction(0) == 0.0
-    assert profiler.attributed_fraction(-1) == 0.0
-
-
-def test_attributed_fraction_vacuous_and_normal_cases():
-    profiler = EventLoopProfiler()
-    assert profiler.attributed_fraction(0) == 1.0  # 0/0: vacuously complete
-    profiler.events_profiled = 3
-    assert profiler.attributed_fraction(6) == 0.5

@@ -1,5 +1,6 @@
 """Unit tests for sim-time tracing spans."""
 
+import io
 import json
 
 from repro.obs.tracing import Tracer
@@ -45,7 +46,9 @@ def test_jsonl_round_trip():
     span = tracer.begin("session", sim_time=1.0, broadcast_id="abc")
     tracer.record("session.join", 1.0, 3.0)
     tracer.end(span, sim_time=10.0)
-    lines = tracer.to_jsonl().splitlines()
+    sink = io.StringIO()
+    assert tracer.write_jsonl(sink) == 2
+    lines = sink.getvalue().splitlines()
     assert len(lines) == 2
     decoded = [json.loads(line) for line in lines]
     by_name = {d["name"]: d for d in decoded}

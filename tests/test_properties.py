@@ -19,7 +19,6 @@ from repro.netsim.topology import Network
 from repro.player.buffer import PlayoutBuffer
 from repro.protocols import mpegts, rtmp
 from repro.protocols.hls import MediaPlaylist, PlaylistEntry
-from repro.protocols.websocket import decode_frames, encode_frame
 from repro.util.units import MBPS
 
 
@@ -139,16 +138,6 @@ def test_rtmp_chunking_roundtrip_property(payload, chunk_size):
     assert len(out) == 1
     assert out[0].payload == payload
     assert parser.pending_bytes == 0
-
-
-@given(st.binary(max_size=100_000),
-       st.one_of(st.none(), st.binary(min_size=4, max_size=4)))
-@settings(max_examples=40, deadline=None)
-def test_websocket_roundtrip_property(payload, mask):
-    frames, rest = decode_frames(encode_frame(payload, mask_key=mask))
-    assert rest == b""
-    assert len(frames) == 1
-    assert frames[0].payload == payload
 
 
 @given(st.lists(st.tuples(st.floats(0.5, 10.0), st.integers(0, 10_000)),

@@ -1,6 +1,7 @@
 """Tests for the MPEG-TS muxer/demuxer."""
 
 import random
+import struct
 
 import pytest
 
@@ -17,6 +18,27 @@ def vframe(**overrides):
                     qp=28.0, complexity=1.0)
     defaults.update(overrides)
     return EncodedFrame(**defaults)
+
+
+def _decode_pts(data):
+    """Invert ``mpegts._encode_pts`` (marker bits ignored)."""
+    v = ((data[0] >> 1) & 0x7) << 30
+    v |= (struct.unpack(">H", data[1:3])[0] >> 1) << 15
+    v |= struct.unpack(">H", data[3:5])[0] >> 1
+    return v
+
+
+def extract_timestamps(pes):
+    """Recover (pts, dts) seconds from one PES packet (None if absent)."""
+    assert pes[:3] == b"\x00\x00\x01"
+    flags2 = pes[7]
+    header = pes[9 : 9 + pes[8]]
+    pts = dts = None
+    if flags2 & 0x80:
+        pts = _decode_pts(header[:5]) / mpegts.PES_CLOCK_HZ
+    if flags2 & 0x40:
+        dts = _decode_pts(header[5:10]) / mpegts.PES_CLOCK_HZ
+    return pts, dts
 
 
 def test_crc32_mpeg_known_vector():
@@ -80,6 +102,73 @@ def test_unaligned_segment_rejected():
         mpegts.demux_segment(bytes(100))
 
 
+def test_psi_bit_flips_raise_or_keep_the_frames():
+    """Every single-bit flip in the PAT and PMT packets either raises
+    ``ValueError`` or demuxes to the reference result: the sections'
+    CRC32 and the section, pointer and adaptation-field lengths are all
+    checked before anything is read through them, and a segment whose
+    PMT never arrives is rejected."""
+    video = [vframe(), vframe(index=1, pts=0.6, dts=0.5, frame_type="P", nbytes=300)]
+    data = mpegts.mux_segment(video, [AudioFrame(index=0, pts=0.45, nbytes=80)])
+    reference = mpegts.demux_segment(data)
+    assert reference.pmt_streams == {mpegts.PID_VIDEO: mpegts.STREAM_TYPE_AVC,
+                                     mpegts.PID_AUDIO: mpegts.STREAM_TYPE_AAC}
+    survived = set()
+    for bit in range(2 * mpegts.TS_PACKET_SIZE * 8):  # PAT, then PMT
+        mutant = bytearray(data)
+        mutant[bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            result = mpegts.demux_segment(bytes(mutant))
+        except ValueError:
+            continue
+        survived.add(bit // 8)
+        assert result.pmt_streams == reference.pmt_streams, bit
+        assert result.video_frames == reference.video_frames, bit
+        assert result.audio_frames == reference.audio_frames, bit
+    # Each section ends its packet, after the stuffing and pointer byte,
+    # and its CRC32 covers every byte: no flip inside one survives.
+    size = mpegts.TS_PACKET_SIZE
+    pat_bytes = len(mpegts.pat_section()) - 1
+    pmt_bytes = len(mpegts.pmt_section()) - 1
+    sections = set(range(size - pat_bytes, size)) | set(range(2 * size - pmt_bytes, 2 * size))
+    assert survived and not survived & sections
+
+
+def _corrupt(kind):
+    """A one-segment TS with the named PSI fault."""
+    data = bytearray(mpegts.mux_segment([vframe()]))
+    size = mpegts.TS_PACKET_SIZE
+    pointer = 5 + data[4]  # the PAT packet: header, AF length, stuffing
+    section = pointer + 1 + data[pointer]
+    if kind == "adaptation field":
+        data[4] = size - 4  # one byte more than the packet holds
+    elif kind == "pointer field":
+        data[pointer] = 0xFF
+    elif kind == "runs past its data":
+        data[section + 1] |= 0x0F
+        data[section + 2] = 0xFF  # section_length 0xFFF
+    elif kind == "CRC32":
+        data[2 * size - 6] ^= 0x01  # inside the PMT, before its CRC
+    elif kind == "no PMT":
+        del data[size : 2 * size]
+    elif kind == "lists no program":  # a PAT entry cut to 3 bytes
+        table = mpegts._psi_section(0x00, b"\x00\x01\xf0", id_field=1)
+        data[:size] = mpegts._packetize(mpegts.PID_PAT, table, 0)[0][0]
+    elif kind == "no program info":  # a PMT without PCR PID and info length
+        table = mpegts._psi_section(0x02, b"", id_field=1)
+        data[size : 2 * size] = mpegts._packetize(mpegts.PID_PMT, table, 0)[0][0]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("fault", [
+    "adaptation field", "pointer field", "runs past its data", "CRC32", "no PMT",
+    "lists no program", "no program info",
+])
+def test_malformed_psi_names_its_fault(fault):
+    with pytest.raises(ValueError, match=fault):
+        mpegts.demux_segment(_corrupt(fault))
+
+
 def test_lost_sync_detected():
     data = bytearray(mpegts.mux_segment([vframe()]))
     data[mpegts.TS_PACKET_SIZE] = 0x00  # corrupt second packet's sync byte
@@ -90,19 +179,19 @@ def test_lost_sync_detected():
 def test_pts_encoding_roundtrip_33_bits():
     for value in (0, 1, 90_000, (1 << 33) - 1):
         encoded = mpegts._encode_pts(0b0010, value)
-        assert mpegts._decode_pts(encoded) == value
+        assert _decode_pts(encoded) == value
 
 
 def test_pes_timestamps_extractable():
     pes = mpegts.pes_packet(mpegts.STREAM_ID_VIDEO, b"payload", pts_s=2.5, dts_s=2.4)
-    pts, dts = mpegts.extract_timestamps(pes)
+    pts, dts = extract_timestamps(pes)
     assert pts == pytest.approx(2.5, abs=1e-4)
     assert dts == pytest.approx(2.4, abs=1e-4)
 
 
 def test_pes_pts_only_when_equal():
     pes = mpegts.pes_packet(mpegts.STREAM_ID_AUDIO, b"x", pts_s=1.0, dts_s=1.0)
-    pts, dts = mpegts.extract_timestamps(pes)
+    pts, dts = extract_timestamps(pes)
     assert pts == pytest.approx(1.0, abs=1e-4)
     assert dts is None
 

@@ -156,8 +156,13 @@ class TestPushSession:
         net.duplex(server, phone, rate_bps=20 * MBPS, delay_s=0.02)
         fwd, rev = net.duplex_paths("ingest", "phone")
         received = []
-        receiver = rtmp.RtmpReceiver(lambda frame, t: received.append((frame, t)))
-        conn = Connection(loop, fwd, rev, on_message=receiver.on_message)
+
+        def receive(message, now):
+            # The client end: unwrap each arriving media frame.
+            if message.annotations.get("protocol") == "rtmp":
+                received.append((message.payload, now))
+
+        conn = Connection(loop, fwd, rev, on_message=receive)
         return loop, rtmp.RtmpPushSession(conn, byte_fidelity=byte_fidelity), received
 
     def test_frames_arrive_promptly(self):

@@ -175,12 +175,6 @@ class TestInfrastructure:
         chosen = pool.nearest_to(tokyo)
         assert chosen.region in ("ap-northeast-1",)
 
-    def test_reverse_dns_shape(self):
-        pool = IngestPool(random.Random(8))
-        server = pool.servers[0]
-        assert server.reverse_dns().startswith(f"ec2-{server.ip.replace('.', '-')}")
-        assert server.reverse_dns().endswith(".compute.amazonaws.com")
-
     def test_two_cdn_edges(self):
         assert len(CDN_EDGES) == 2
 
@@ -253,7 +247,8 @@ class TestChatFeed:
 
     def test_expected_avatar_traffic_substantial_for_active_chat(self):
         feed = ChatFeed(random.Random(8), viewers=1000.0)
-        assert feed.expected_avatar_bps() > 500_000  # >0.5 Mbps
+        avatar_bytes = sum(m.avatar_bytes for m in feed.messages(60.0) if m.has_avatar)
+        assert avatar_bytes * 8.0 / 60.0 > 500_000  # >0.5 Mbps
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import BroadcastState, state_at
 from repro.media.encoder import GopPattern
 from repro.service.broadcast import (
     BROADCAST_ID_LENGTH,
-    CHAT_FULL_VIEWERS,
     Broadcast,
-    BroadcastState,
     make_broadcast_id,
     sample_broadcast,
     sample_duration_s,
@@ -102,10 +101,10 @@ def test_named_broadcast_draws_no_username():
 
 def test_state_transitions():
     b = make(start=100.0, duration_s=60.0)
-    assert b.state_at(50.0) == BroadcastState.SCHEDULED
-    assert b.state_at(100.0) == BroadcastState.LIVE
-    assert b.state_at(159.9) == BroadcastState.LIVE
-    assert b.state_at(160.0) == BroadcastState.ENDED
+    assert not b.is_live_at(50.0)
+    assert b.is_live_at(100.0)
+    assert b.is_live_at(159.9)
+    assert not b.is_live_at(160.0)
     assert b.end_time == 160.0
 
 
@@ -113,7 +112,7 @@ def test_state_transitions():
        t=st.floats(-2e9, 2e9))
 @settings(max_examples=300, deadline=None)
 def test_is_live_at_is_the_live_state(start, duration, t):
-    """The inlined interval test agrees with :meth:`state_at` at both
+    """The inlined interval test agrees with the ``state_at`` oracle at both
     ends of the lifetime, one float step either side of each, and at a
     random instant."""
     b = make(start=start, duration_s=duration)
@@ -122,7 +121,7 @@ def test_is_live_at_is_the_live_state(start, duration, t):
         probes += [math.nextafter(edge, -math.inf), edge,
                    math.nextafter(edge, math.inf)]
     for probe in probes:
-        assert b.is_live_at(probe) == (b.state_at(probe) is BroadcastState.LIVE)
+        assert b.is_live_at(probe) == (state_at(b, probe) is BroadcastState.LIVE)
 
 
 class TestPopulationStatistics:
@@ -202,11 +201,6 @@ class TestViewerCurve:
         b = make(start=0.0, duration_s=600.0, mean_viewers=0.0)
         assert b.viewers_at(300.0) == 0.0
 
-    def test_chat_full(self):
-        popular = make(start=0.0, duration_s=1000.0, mean_viewers=5 * CHAT_FULL_VIEWERS)
-        quiet = make(start=0.0, duration_s=1000.0, mean_viewers=2.0)
-        assert popular.chat_is_full_at(150.0)
-        assert not quiet.chat_is_full_at(150.0)
 
 
 def test_description_fields():
@@ -217,13 +211,6 @@ def test_description_fields():
     assert isinstance(desc["n_watching"], int)
     assert desc["available_for_replay"] == b.available_for_replay
     assert b.description(700.0)["state"] == "ENDED"
-
-
-def test_local_start_hour_uses_timezone():
-    b = make(start=0.0)
-    assert b.local_start_hour() == pytest.approx(
-        (0.0 / 3600.0 + b.center.utc_offset_hours) % 24
-    )
 
 
 def test_i_only_broadcasts_get_hot_bitrates():

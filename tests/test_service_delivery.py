@@ -43,12 +43,17 @@ class TestUplinkModel:
         model = UplinkModel()
         rng = random.Random(2)
         for t in (0.0, 5.0, 100.0):
-            assert model.arrival_time(t, rng, []) > t
+            arrival, deferred = model.arrival_with_defer(t, rng, [])
+            assert arrival > t
+            assert deferred == 0.0
 
     def test_outage_defers_arrival(self):
         model = UplinkModel(base_delay_s=0.1, jitter_s=0.0)
-        arrival = model.arrival_time(10.0, random.Random(3), [(10.05, 14.0)])
+        arrival, deferred = model.arrival_with_defer(
+            10.0, random.Random(3), [(10.05, 14.0)]
+        )
         assert arrival >= 14.0
+        assert deferred == pytest.approx(arrival - 10.1)
 
 
 class TestLiveSourceDriver:

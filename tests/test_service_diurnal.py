@@ -8,6 +8,7 @@ over the day.
 
 import pytest
 
+from oracles import contains
 from repro.service.geo import GeoRect
 from repro.service.world import ServiceWorld, WorldParameters
 from repro.util.sampling import DIURNAL_PROFILE, diurnal_weight
@@ -37,7 +38,7 @@ def test_regional_activity_follows_local_night():
     from repro.service.geo import POPULATION_CENTERS
 
     def weight(rect):
-        return sum(c.weight for c in POPULATION_CENTERS if rect.contains(c.location))
+        return sum(c.weight for c in POPULATION_CENTERS if contains(rect, c.location))
 
     europe_rate = europe_n / weight(europe)
     asia_rate = asia_n / weight(asia)

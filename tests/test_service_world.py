@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.broadcast import BroadcastState
+from oracles import BroadcastState, contains, state_at
 from repro.service.geo import GeoRect
 from repro.service.world import ServiceWorld, WorldParameters
 
@@ -66,7 +66,7 @@ def test_query_map_filters_region():
     world = small_world(seed=4)
     europe = GeoRect(35.0, -10.0, 70.0, 40.0)
     result = world.query_map(europe)
-    assert all(europe.contains(b.location) for b in result)
+    assert all(contains(europe, b.location) for b in result)
 
 
 def test_query_map_cap_and_zoom_reveals_more():
@@ -96,8 +96,8 @@ def comprehension_query_map(world, rect, cap):
         for b in world._live.values()
         if not b.is_private
         and b.description_has_location
-        and b.state_at(world.now) == BroadcastState.LIVE
-        and rect.contains(b.location)
+        and state_at(b, world.now) == BroadcastState.LIVE
+        and contains(rect, b.location)
     ]
     matches.sort(key=lambda b: (-b.viewers_at(world.now), b.broadcast_id))
     return matches[:cap]

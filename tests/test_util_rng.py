@@ -1,6 +1,6 @@
 """Unit tests for seed plumbing (repro.util.rng)."""
 
-from repro.util.rng import SeedSequence, child_rng, make_rng
+from repro.util.rng import child_rng, make_rng
 
 
 def test_make_rng_deterministic():
@@ -26,22 +26,3 @@ def test_child_path_matters():
 def test_string_and_int_seeds_accepted():
     assert make_rng("experiment-1").random() == make_rng("experiment-1").random()
     assert make_rng("1").random() != make_rng(1).random() or True  # both valid
-
-
-def test_seed_sequence_rng_reproducible():
-    seeds = SeedSequence(42)
-    assert seeds.rng("service").random() == seeds.rng("service").random()
-
-
-def test_seed_sequence_spawn_nesting():
-    root = SeedSequence(42)
-    child = root.spawn("crawler")
-    # spawn + rng must be stable and distinct from the root's own stream
-    assert child.rng("a").random() == root.spawn("crawler").rng("a").random()
-    assert child.rng("a").random() != root.rng("a").random()
-
-
-def test_seed_sequence_integer_stable():
-    s = SeedSequence("exp")
-    assert s.integer("x") == s.integer("x")
-    assert 0 <= s.integer("x") < 2**64

@@ -12,7 +12,6 @@ from repro.util.sampling import (
     bounded_lognormal,
     bounded_pareto,
     diurnal_weight,
-    weighted_choice,
 )
 
 
@@ -79,26 +78,3 @@ def test_diurnal_weight_wraps():
     assert diurnal_weight(23.5) == pytest.approx(
         (DIURNAL_PROFILE[23] + DIURNAL_PROFILE[0]) / 2
     )
-
-
-def test_weighted_choice_respects_zero_weight():
-    rng = random.Random(4)
-    for _ in range(200):
-        assert weighted_choice(rng, ["a", "b"], [0.0, 1.0]) == "b"
-
-
-def test_weighted_choice_roughly_proportional():
-    rng = random.Random(5)
-    picks = [weighted_choice(rng, ["x", "y"], [3.0, 1.0]) for _ in range(4000)]
-    share = picks.count("x") / len(picks)
-    assert 0.70 < share < 0.80
-
-
-def test_weighted_choice_validation():
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, [], [])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [0.0])

@@ -19,13 +19,6 @@ def test_format_bitrate_units():
     assert units.format_bitrate(3_200_000_000) == "3.20 Gbps"
 
 
-def test_format_bytes_units():
-    assert units.format_bytes(12) == "12 B"
-    assert units.format_bytes(2_500) == "2.5 kB"
-    assert units.format_bytes(3_000_000) == "3.00 MB"
-    assert units.format_bytes(4_200_000_000) == "4.20 GB"
-
-
 def test_format_duration_boundaries():
     assert units.format_duration(0.02) == "20 ms"
     assert units.format_duration(5.5) == "5.5 s"

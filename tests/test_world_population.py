@@ -5,13 +5,10 @@ import math
 
 import pytest
 
+from oracles import BroadcastState, state_at
 from repro.core.config import StudyConfig
 from repro.core.popstudy import PopulationStudy
-from repro.service.broadcast import (
-    AUDIENCE_DECAY_RATE,
-    AUDIENCE_RAMP_FRACTION,
-    BroadcastState,
-)
+from repro.service.broadcast import AUDIENCE_DECAY_RATE, AUDIENCE_RAMP_FRACTION
 from repro.service.selection import DeliveryProtocol
 from repro.util.units import MBPS
 from repro.world.cohorts import (
@@ -205,7 +202,7 @@ class TestCohorts:
 def _reference_viewers_at(broadcast, t):
     """Reference for ``Broadcast.viewers_at``: liveness through
     ``state_at`` and the normalization evaluated on every call."""
-    if (broadcast.state_at(t) != BroadcastState.LIVE
+    if (state_at(broadcast, t) != BroadcastState.LIVE
             or broadcast.mean_viewers <= 0):
         return 0.0
     x = (t - broadcast.start_time) / broadcast.duration_s
