@@ -10,15 +10,12 @@
 
 import random
 
-import pytest
-
 from repro.analysis.charts import render_table
 from repro.core.config import StudyConfig
 from repro.core.study import AutomatedViewingStudy
 from repro.crawler.client import CrawlHarness
 from repro.crawler.deep import DeepCrawler
 from repro.experiments import sec51_chat
-from repro.media.frames import EncodedFrame
 from repro.netsim.connection import Connection
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network

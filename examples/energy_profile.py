@@ -13,12 +13,7 @@ import random
 from repro.analysis.charts import render_table
 from repro.energy.components import GALAXY_S4_MODEL, Radio
 from repro.energy.monsoon import MonsoonMonitor
-from repro.energy.states import (
-    APP_STATES,
-    PAPER_FIGURE7_MW,
-    AppState,
-    state_power_mw,
-)
+from repro.energy.states import APP_STATES, PAPER_FIGURE7_MW, AppState
 
 
 def main() -> None:

@@ -13,12 +13,16 @@ from typing import List, Mapping, Sequence, Tuple
 from repro.util.empirical import Ecdf, FiveNumberSummary
 from repro.util.tables import render_table  # noqa: F401  (re-exported API)
 
+#: Characters in a full-scale CDF spark bar (F(x) = 1).
+CDF_BAR_WIDTH = 40
+#: Characters in the longest bar of a grouped bar chart.
+BAR_WIDTH = 36
+
 
 def render_cdf(
     curves: Mapping[str, Ecdf],
     xs: Sequence[float],
     x_label: str,
-    width: int = 40,
 ) -> str:
     """Tabulated CDF curves on a fixed grid, with a spark bar per row."""
     headers = [x_label] + [f"{name} F(x)" for name in curves] + [""]
@@ -28,7 +32,7 @@ def render_cdf(
         row: List[str] = [f"{x:g}"]
         for ecdf in curves.values():
             row.append(f"{ecdf(x):.3f}")
-        bar = "#" * int(round(first(x) * width))
+        bar = "#" * int(round(first(x) * CDF_BAR_WIDTH))
         row.append(bar)
         rows.append(row)
     return render_table(headers, rows)
@@ -63,7 +67,6 @@ def render_boxplot_rows(
 def render_bars(
     groups: Mapping[str, Mapping[str, float]],
     unit: str,
-    width: int = 36,
 ) -> str:
     """Grouped bar chart (Fig. 7 style): {category: {series: value}}."""
     peak = max(v for series in groups.values() for v in series.values())
@@ -73,7 +76,7 @@ def render_bars(
     name_width = max(len(n) for n in groups)
     for name, series in groups.items():
         for series_name, value in series.items():
-            bar = "#" * int(round(value / peak * width))
+            bar = "#" * int(round(value / peak * BAR_WIDTH))
             lines.append(
                 f"{name.ljust(name_width)} {series_name:<5} "
                 f"{value:8.0f} {unit} {bar}"

@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+#: Significance level of the paper's t-tests.
+ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class WelchResult:
@@ -22,8 +25,9 @@ class WelchResult:
     mean_a: float
     mean_b: float
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
+    def significant(self) -> bool:
+        """Whether the difference is significant at :data:`ALPHA`."""
+        return self.p_value < ALPHA
 
 
 def _mean_var(samples: Sequence[float]) -> tuple:

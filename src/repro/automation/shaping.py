@@ -14,14 +14,14 @@ from repro.util.units import MBPS
 
 #: tc tbf default-ish burst: enough for a few packets, small relative to
 #: a second of traffic at any of the studied rates.
-DEFAULT_BURST_BYTES = 16 * 1024
+BURST_BYTES = 16 * 1024
 
 
-def shaper_for_limit(limit_mbps: float, burst_bytes: int = DEFAULT_BURST_BYTES) -> Optional[TokenBucketShaper]:
+def shaper_for_limit(limit_mbps: float) -> Optional[TokenBucketShaper]:
     """A shaper for the given sweep point; ``>= 100`` means unlimited
     (the paper labels the unshaped case "100")."""
     if limit_mbps <= 0:
         raise ValueError("limit must be positive")
     if limit_mbps >= 100.0:
         return None
-    return TokenBucketShaper(rate_bps=limit_mbps * MBPS, bucket_bytes=burst_bytes)
+    return TokenBucketShaper(rate_bps=limit_mbps * MBPS, bucket_bytes=BURST_BYTES)

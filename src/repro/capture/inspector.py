@@ -15,6 +15,9 @@ from repro.media.frames import AudioFrame, EncodedFrame
 
 MediaFrame = Union[EncodedFrame, AudioFrame]
 
+#: The app's capture rate; a frame gap over 2.2 nominal frames is a loss.
+NOMINAL_FPS = 30.0
+
 
 @dataclass(frozen=True)
 class MediaReport:
@@ -56,7 +59,6 @@ def _i_frame_period(frames: Sequence[EncodedFrame]) -> Optional[float]:
 def inspect_frames(
     video_frames: Iterable[EncodedFrame],
     audio_frames: Iterable[AudioFrame] = (),
-    nominal_fps: float = 30.0,
 ) -> MediaReport:
     """Inspect one stream's frames."""
     video = sorted(video_frames, key=lambda f: f.pts)
@@ -64,11 +66,11 @@ def inspect_frames(
     if len(video) < 2:
         raise ValueError("need at least two video frames to inspect")
     pts = [f.pts for f in video]
-    duration = pts[-1] - pts[0] + 1.0 / nominal_fps
+    duration = pts[-1] - pts[0] + 1.0 / NOMINAL_FPS
     video_bytes = sum(f.nbytes for f in video)
     audio_bytes = sum(f.nbytes for f in audio)
     gaps = [b - a for a, b in zip(pts, pts[1:])]
-    nominal_gap = 1.0 / nominal_fps
+    nominal_gap = 1.0 / NOMINAL_FPS
     missing = any(gap > 2.2 * nominal_gap for gap in gaps)
     decode_order = sorted(video, key=lambda f: f.dts)
     return MediaReport(

@@ -1,13 +1,16 @@
 """Stream reconstruction from tether captures (the wireshark step).
 
-Two fidelity levels, matching how a session was run:
+Two fidelity levels, matching what the sender put on the wire:
 
-* **byte fidelity** — packets carry real byte slices; flows are
-  reassembled into the original byte streams and dissected with the real
-  parsers (RTMP chunk parser, MPEG-TS demuxer);
-* **token fidelity** — packets carry message annotations; the same
-  extraction is driven off message boundaries (sizes and payload objects
-  are exact, parsing is skipped).
+* **byte fidelity** — packets carry real byte slices (the sender set
+  ``Message.data``); flows are reassembled into the original byte
+  streams and dissected with the real parsers (RTMP chunk parser,
+  MPEG-TS demuxer);
+* **token fidelity** — packets carry message annotations, as every
+  session sends them; the same extraction is driven off message
+  boundaries (payload objects and the sender's sizes come through
+  as sent, parsing is skipped).  An HLS segment's sent size is an
+  estimate of its MPEG-TS size (see ``service.delivery``).
 
 Either way the output is identical in kind to the paper's: per-flow
 media frames for RTMP, and isolated ``.ts`` segments for HLS ("saving

@@ -112,14 +112,16 @@ class StudyConfig:
     #: dropping it changes every stored key; it goes with the next
     #: re-pin of the benchmark's golden digests.
     exact_network: bool = False
-    #: Ignored: no run reads it.  The session's testbed keeps
-    #: :class:`~repro.core.testbed.TestbedConfig`'s own access bandwidth,
-    #: and :func:`repro.automation.shaping.shaper_for_limit` is what
-    #: reads 100 Mbps as unshaped.
+    #: Ignored: no run reads it.  The session's testbed uses
+    #: :data:`repro.core.testbed.ACCESS_BANDWIDTH_BPS`, and
+    #: :func:`repro.automation.shaping.shaper_for_limit` is what reads
+    #: 100 Mbps as unshaped.
     access_bandwidth_bps: float = 100.0 * MBPS
-    #: Ignored: no run reads it; the testbed keeps its own delays.
+    #: Ignored: no run reads it; the testbed uses
+    #: :data:`repro.core.testbed.TETHER_DELAY_S`.
     tether_delay_s: float = 0.001
-    #: Ignored: no run reads it; the testbed keeps its own delays.
+    #: Ignored: no run reads it; the testbed sets each server's delay
+    #: from geography with :func:`repro.core.testbed.path_delay_s`.
     internet_delay_s: float = 0.020
 
     def scaled(self, count: int, minimum: int = 1) -> int:

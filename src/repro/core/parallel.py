@@ -120,6 +120,7 @@ def chunk_bounds(n_items: int, workers: int) -> List[Tuple[int, int]]:
     """
     if n_items <= 0:
         return []
+    workers = max(1, workers)
     chunk_size = max(1, math.ceil(n_items / (workers * CHUNKS_PER_WORKER)))
     return [
         (start, min(start + chunk_size, n_items))

@@ -37,6 +37,13 @@ VIEWER_LOCATION = GeoPoint(60.2, 24.9)
 DELAY_FLOOR_S = 0.008
 DELAY_PER_DEG_S = 0.0009
 
+#: The desktop's Internet access, which the tether carries unshaped.
+ACCESS_BANDWIDTH_BPS = 100.0 * MBPS
+#: One-way delay of the USB reverse tether.
+TETHER_DELAY_S = 0.001
+#: Capacity of each desktop <-> server path.
+BACKBONE_BANDWIDTH_BPS = 500.0 * MBPS
+
 
 def path_delay_s(a: GeoPoint, b: GeoPoint) -> float:
     """One-way propagation delay between two locations."""
@@ -52,9 +59,6 @@ class TestbedConfig:
 
     #: Download shaping on the tether (None = unshaped).
     shaper: Optional[TokenBucketShaper] = None
-    access_bandwidth_bps: float = 100.0 * MBPS
-    tether_delay_s: float = 0.001
-    backbone_bandwidth_bps: float = 500.0 * MBPS
     #: Optional fault scenario; link impairments are built from child
     #: streams of ``fault_seed`` over ``fault_horizon_s`` of session time.
     faults: Optional[FaultPlan] = None
@@ -76,8 +80,8 @@ class SessionTestbed:
         tether = self.net.duplex(
             self.desktop,
             self.phone,
-            rate_bps=config.access_bandwidth_bps,
-            delay_s=config.tether_delay_s,
+            rate_bps=ACCESS_BANDWIDTH_BPS,
+            delay_s=TETHER_DELAY_S,
             down_shaper=config.shaper,
         )
         #: desktop -> phone; its ``bytes_carried`` is the session's
@@ -115,19 +119,18 @@ class SessionTestbed:
         self.net.duplex(
             server,
             self.desktop,
-            rate_bps=self.config.backbone_bandwidth_bps,
+            rate_bps=BACKBONE_BANDWIDTH_BPS,
             delay_s=path_delay_s(location, VIEWER_LOCATION),
         )
         self._server_locations[name] = location
 
-    def stream_to(self, server_name: str, window_bytes: Optional[int] = None,
-                  name: str = "") -> DuplexStream:
+    def stream_to(self, server_name: str, name: str = "") -> DuplexStream:
         """A duplex stream phone <-> server through the desktop."""
         if server_name not in self._server_locations:
             raise KeyError(f"unknown server {server_name!r}")
         return DuplexStream(
             self.loop, self.net, "phone", "desktop", server_name,
-            window_bytes=window_bytes, name=name or f"phone<->{server_name}",
+            name=name or f"phone<->{server_name}",
         )
 
     def server_paths(self, server_name: str):

@@ -9,11 +9,10 @@ per round).
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
-from repro.faults.retry import RetryPolicy, RetrySchedule
+from repro.faults.retry import CRAWLER_RETRY, RetrySchedule
 from repro.netsim.duplex import DuplexStream
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network
@@ -33,42 +32,29 @@ from repro.util.rng import child_rng
 #: Emulators sat in Finland next to the phones.
 CRAWLER_LOCATION = GeoPoint(60.2, 24.9)
 
+#: Spacing between successful requests of one identity (the paper's
+#: pacing, what pushes a deep crawl beyond 10 minutes).
+CRAWL_PACE_S = 0.85
+
 ApiCallback = Callable[[HttpResponse, float], None]
 
 
 class CrawlClient:
     """One crawler identity: issues apiRequest commands, honours 429s.
 
-    Throttled (429) and unavailable (503) responses are retried per the
-    shared bounded :class:`~repro.faults.retry.RetryPolicy` — the first
-    retry keeps the historical 2 s backoff, later ones double up to a
-    cap, and a permanently failing service terminates the call after
+    Throttled (429) and unavailable (503) responses are retried per
+    :data:`~repro.faults.retry.CRAWLER_RETRY` — the first retry keeps
+    the historical 2 s backoff, later ones double up to a cap, and a
+    permanently failing service terminates the call after
     ``max_attempts`` with the final error response handed to the
-    callback.  Successful requests are spaced ``pace_s`` apart,
-    mirroring the paper's pacing (what pushes a deep crawl beyond 10
-    minutes).
+    callback.  Callers space successful requests :data:`CRAWL_PACE_S`
+    apart.
     """
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        http: HttpClient,
-        identity: str,
-        pace_s: float = 0.85,
-        backoff_s: float = 2.0,
-        retry: Optional[RetryPolicy] = None,
-        retry_rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, loop: EventLoop, http: HttpClient, identity: str) -> None:
         self.loop = loop
         self.http = http
         self.identity = identity
-        self.pace_s = pace_s
-        self.backoff_s = backoff_s
-        self.retry = retry if retry is not None else RetryPolicy(
-            base_delay_s=backoff_s, factor=2.0,
-            max_delay_s=8.0 * backoff_s, max_attempts=8,
-        )
-        self._retry_rng = retry_rng
         self.requests_sent = 0
         self.throttled = 0
         self.retries = 0
@@ -78,9 +64,7 @@ class CrawlClient:
         """Issue one API command now (no pacing — callers schedule)."""
         body = {"request": command}
         body.update(payload)
-        schedule = RetrySchedule(
-            self.retry, rng=self._retry_rng, started_at=self.loop.now
-        )
+        schedule = RetrySchedule(CRAWLER_RETRY, started_at=self.loop.now)
 
         def send() -> None:
             self.requests_sent += 1

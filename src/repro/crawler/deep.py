@@ -11,12 +11,18 @@ the targeted-crawl areas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro import obs
-from repro.crawler.client import CrawlClient
+from repro.crawler.client import CRAWL_PACE_S, CrawlClient
 from repro.protocols.http import HttpResponse
 from repro.service.geo import GeoRect
+
+#: Zoom into a quadrant only while an area lists at least this many
+#: broadcasts (enough to suggest the response was truncated)...
+MIN_RESULT_TO_ZOOM = 12
+#: ...and, below the world view, keeps adding this many new ones.
+MIN_NEW_TO_ZOOM = 6
 
 
 @dataclass
@@ -80,19 +86,9 @@ class DeepCrawler:
     broadcasts — "until it no longer discovers substantially more".
     """
 
-    def __init__(
-        self,
-        client: CrawlClient,
-        max_depth: int = 5,
-        min_new_to_zoom: int = 6,
-        min_result_to_zoom: int = 12,
-        on_done: Optional[Callable[[DeepCrawlResult], None]] = None,
-    ) -> None:
+    def __init__(self, client: CrawlClient, max_depth: int = 5) -> None:
         self.client = client
         self.max_depth = max_depth
-        self.min_new_to_zoom = min_new_to_zoom
-        self.min_result_to_zoom = min_result_to_zoom
-        self.on_done = on_done
         self.result = DeepCrawlResult()
         self._pending: List[Tuple[GeoRect, int]] = []
         self._running = False
@@ -110,8 +106,6 @@ class DeepCrawler:
         if not self._pending:
             self._running = False
             self.result.finished_at = self.client.loop.now
-            if self.on_done is not None:
-                self.on_done(self.result)
             return
         rect, depth = self._pending.pop(0)
         self.client.map_query(
@@ -146,11 +140,11 @@ class DeepCrawler:
             ).observe(float(len(ids)))
         should_zoom = (
             depth < self.max_depth
-            and len(ids) >= self.min_result_to_zoom
-            and (depth == 0 or len(new_ids) >= self.min_new_to_zoom)
+            and len(ids) >= MIN_RESULT_TO_ZOOM
+            and (depth == 0 or len(new_ids) >= MIN_NEW_TO_ZOOM)
         )
         if should_zoom:
             for quadrant in rect.quadrants():
                 self._pending.append((quadrant, depth + 1))
         # Pace the next request (the 429 limiter would throttle us anyway).
-        self.client.loop.schedule(self.client.pace_s, self._next_query)
+        self.client.loop.schedule(CRAWL_PACE_S, self._next_query)

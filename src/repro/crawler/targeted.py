@@ -11,14 +11,18 @@ inline script also feeds every newly discovered id through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.crawler.client import CrawlClient
+from repro.crawler.client import CRAWL_PACE_S, CrawlClient
 from repro.protocols.http import HttpResponse
 from repro.service.geo import GeoRect
 
 #: getBroadcasts accepts batches of ids; keep requests reasonably sized.
 GET_BROADCASTS_BATCH = 100
+
+#: A broadcast counts as completed when it was not seen in the crawl's
+#: final minute.
+COMPLETED_GRACE_S = 60.0
 
 
 @dataclass
@@ -111,7 +115,7 @@ class TargetedCrawl:
             self.round_durations.append(client.loop.now - round_start)
             self._flush_describe_queue(client)
             client.loop.schedule(
-                client.pace_s, lambda: self._start_round(index, client)
+                CRAWL_PACE_S, lambda: self._start_round(index, client)
             )
             return
         client.map_query(
@@ -138,7 +142,7 @@ class TargetedCrawl:
             else:
                 tracked.last_seen = now
         client.loop.schedule(
-            client.pace_s,
+            CRAWL_PACE_S,
             lambda: self._query_area(index, client, areas, position + 1, round_start),
         )
 
@@ -182,10 +186,11 @@ class TargetedCrawl:
 
     # ---------------------------------------------------------------- results
 
-    def completed_broadcasts(self, grace_s: float = 60.0) -> List[TrackedBroadcast]:
+    def completed_broadcasts(self) -> List[TrackedBroadcast]:
         """Broadcasts that ended during the crawl: not seen within the
-        final ``grace_s`` (the paper's inclusion rule for durations)."""
-        cutoff = self._ended_at - grace_s
+        final :data:`COMPLETED_GRACE_S` (the paper's inclusion rule for
+        durations)."""
+        cutoff = self._ended_at - COMPLETED_GRACE_S
         return [
             t
             for t in self.tracked.values()

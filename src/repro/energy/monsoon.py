@@ -8,17 +8,20 @@ and slow workload fluctuation reproduces what PowerTool's export gives.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.energy.components import ComponentPowerModel, Radio
-from repro.energy.states import GALAXY_S4_MODEL, AppState, state_power_mw
+from repro.energy.components import Radio
+from repro.energy.states import AppState, state_power_mw
 
 #: The Monsoon's sampling rate (we sample a decimated 50 Hz — PowerTool
 #: exports are typically downsampled for analysis).
 SAMPLE_HZ = 50.0
+#: Standard deviation of the per-sample white measurement noise.
+NOISE_MW = 25.0
+#: Scale of the slow random-walk workload component.
+WORKLOAD_WANDER_MW = 60.0
 
 
 @dataclass
@@ -42,17 +45,8 @@ class MonsoonMonitor:
     component (the app's duty cycles are not perfectly constant).
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        model: ComponentPowerModel = GALAXY_S4_MODEL,
-        noise_mw: float = 25.0,
-        workload_wander_mw: float = 60.0,
-    ) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self.rng = rng
-        self.model = model
-        self.noise_mw = noise_mw
-        self.workload_wander_mw = workload_wander_mw
 
     def record(
         self,
@@ -63,15 +57,15 @@ class MonsoonMonitor:
         """Record one state for ``duration_s`` seconds."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        base = state_power_mw(state, radio, self.model)
+        base = state_power_mw(state, radio)
         trace = PowerTrace(state=state, radio=radio)
         wander = 0.0
         steps = int(duration_s * SAMPLE_HZ)
         for index in range(steps):
             t = index / SAMPLE_HZ
             # Mean-reverting workload wander.
-            wander += self.rng.gauss(0.0, self.workload_wander_mw / 10.0) - 0.05 * wander
-            noise = self.rng.gauss(0.0, self.noise_mw)
+            wander += self.rng.gauss(0.0, WORKLOAD_WANDER_MW / 10.0) - 0.05 * wander
+            noise = self.rng.gauss(0.0, NOISE_MW)
             power = max(0.0, base + wander + noise)
             trace.samples.append((t, power))
         return trace

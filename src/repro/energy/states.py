@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.energy.components import GALAXY_S4_MODEL, ComponentPowerModel, Radio
+from repro.energy.components import GALAXY_S4_MODEL, Radio
 
 #: The chat feature raises average CPU/GPU clocks by about one third.
 CHAT_CLOCK_BOOST = 4.0 / 3.0
@@ -81,12 +81,9 @@ APP_STATES = {
 }
 
 
-def state_power_mw(
-    state: AppState,
-    radio: Radio,
-    model: ComponentPowerModel = GALAXY_S4_MODEL,
-) -> float:
-    """Mean power draw in one app state over one radio."""
+def state_power_mw(state: AppState, radio: Radio) -> float:
+    """Mean power draw of the Galaxy S4 in one app state over one radio."""
+    model = GALAXY_S4_MODEL
     point = APP_STATES[state]
     power = model.platform_idle_mw + model.screen_full_mw
     power += model.cpu_mw(point.cpu_clock)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.charts import render_cdf, render_table
+from repro.analysis.charts import render_table
 from repro.crawler.analysis import UsagePatterns, analyze_tracked
 from repro.experiments.common import Workbench
 

@@ -31,8 +31,8 @@ from repro.world.popularity import PopulationParameters
 #: Fig. 2(a)-style audience grid (concurrent viewers per broadcaster).
 AUDIENCE_GRID = (0, 1, 2, 5, 10, 20, 50, 100, 1000, 10000)
 
-#: Default full-fidelity anchor budget (expected sampled sessions).
-DEFAULT_SAMPLE_BUDGET = 48
+#: Full-fidelity anchor budget (expected sampled sessions).
+SAMPLE_BUDGET = 48
 
 
 @dataclass
@@ -119,12 +119,8 @@ class Fig2PopResult:
         return "\n".join(parts)
 
 
-def run(
-    workbench: Workbench,
-    viewers: int = 100_000,
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> Fig2PopResult:
+def run(workbench: Workbench, viewers: int = 100_000) -> Fig2PopResult:
     """Advance a ``viewers``-strong world on the workbench's settings."""
-    params = PopulationParameters(viewers=viewers, sample_budget=sample_budget)
+    params = PopulationParameters(viewers=viewers, sample_budget=SAMPLE_BUDGET)
     study = PopulationStudy(workbench.config, params)
     return Fig2PopResult(result=study.run())

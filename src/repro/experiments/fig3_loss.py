@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.core.study import AutomatedViewingStudy
 from repro.experiments.common import Workbench
@@ -81,12 +81,9 @@ def _plan_for_rate(template: FaultPlan, rate: float) -> FaultPlan:
     return dataclasses.replace(template, loss=loss)
 
 
-def run(
-    workbench: Workbench,
-    loss_rates: Sequence[float] = LOSS_RATES,
-    sessions_per_rate: int = 0,
-) -> Fig3LossResult:
-    """Run the forced-RTMP loss sweep off the workbench's seed/scale.
+def run(workbench: Workbench) -> Fig3LossResult:
+    """Run the forced-RTMP loss sweep off the workbench's seed/scale:
+    :data:`LOSS_RATES`, each over ``sweep_sessions_per_limit`` sessions.
 
     A fresh study is built per rate so every rate replays the same world
     evolution and teleport choices; only the fault plan differs.  When
@@ -95,11 +92,11 @@ def run(
     burstiness) and non-loss faults apply at every rate, with only the
     loss dose swept.  Rate 0.0 always runs the pristine baseline.
     """
-    n = sessions_per_rate or workbench.sweep_sessions_per_limit
+    n = workbench.sweep_sessions_per_limit
     template = workbench.config.faults
     stall_counts: Dict[float, List[int]] = {}
     stall_ratios: Dict[float, List[float]] = {}
-    for rate in loss_rates:
+    for rate in LOSS_RATES:
         if rate <= 0.0:
             faults = None
         elif template is not None:

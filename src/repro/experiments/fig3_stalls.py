@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.charts import render_boxplot_rows, render_cdf
-from repro.core.study import StudyDataset
 from repro.experiments.common import Workbench
 from repro.util.empirical import Ecdf, FiveNumberSummary, five_number_summary
 

@@ -7,7 +7,6 @@ values side by side.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Tuple
 

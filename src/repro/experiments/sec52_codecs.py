@@ -8,18 +8,22 @@ mode 3.6 s), and audio operating points (44.1 kHz VBR at ~32/64 kbps).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.charts import render_table
 from repro.capture.inspector import inspect_frames
-from repro.media.audio import AacEncoderModel, NOMINAL_BITRATES_BPS
+from repro.media.audio import AacEncoderModel
 from repro.media.content import ContentProcess, pick_profile
 from repro.media.encoder import EncoderSettings, GopPattern, VideoEncoder
 from repro.media.segmenter import HlsSegmenter
 from repro.service.broadcast import sample_target_bitrate_bps
 from repro.util.rng import child_rng
+
+#: The paper's modal HLS segment duration, and how near a segment must
+#: be to count toward it.
+SEGMENT_MODE_S = 3.6
+SEGMENT_MODE_TOLERANCE_S = 0.45
 
 
 @dataclass
@@ -30,11 +34,14 @@ class CodecCensusResult:
     audio_rates: List[float]
     missing_frame_share: float
 
-    def segment_mode_share(self, mode: float = 3.6, tolerance: float = 0.45) -> float:
-        """Share of segments within ``tolerance`` of the modal duration."""
+    def segment_mode_share(self) -> float:
+        """Share of segments near the paper's modal duration."""
         if not self.segment_durations:
             return 0.0
-        near = sum(1 for d in self.segment_durations if abs(d - mode) <= tolerance)
+        near = sum(
+            1 for d in self.segment_durations
+            if abs(d - SEGMENT_MODE_S) <= SEGMENT_MODE_TOLERANCE_S
+        )
         return near / len(self.segment_durations)
 
     def render(self) -> str:

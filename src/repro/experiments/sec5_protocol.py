@@ -9,15 +9,13 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.analysis.charts import render_table
 from repro.core.testbed import VIEWER_LOCATION
 from repro.experiments.common import Workbench
-from repro.service.geo import GeoPoint
-from repro.service.ingest import CDN_EDGES, IngestPool, nearest_cdn_edge
+from repro.service.ingest import CDN_EDGES, nearest_cdn_edge
 
 
 @dataclass

@@ -11,7 +11,6 @@ from typing import Dict, List
 
 from repro.analysis.charts import render_table
 from repro.analysis.stats import WelchResult, welch_t_test
-from repro.core.qoe import SessionQoE
 from repro.experiments.common import Workbench
 
 #: Metric extractors compared across devices.
@@ -29,8 +28,8 @@ METRICS = {
 class TtestResult:
     results: Dict[str, WelchResult]
 
-    def significant_metrics(self, alpha: float = 0.05) -> List[str]:
-        return [m for m, r in self.results.items() if r.significant(alpha)]
+    def significant_metrics(self) -> List[str]:
+        return [m for m, r in self.results.items() if r.significant()]
 
     def render(self) -> str:
         rows = []

@@ -6,7 +6,6 @@ API and describing what went over the wire — not by hard-coding prose.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Tuple
 

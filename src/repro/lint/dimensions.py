@@ -55,9 +55,9 @@ SCALAR = "scalar"
 #: rules.  Keyed on the bare identifier (the leaf for attributes), so
 #: ``units.MBPS`` and a from-imported ``MBPS`` resolve identically.
 NAME_OVERRIDES = {
-    # repro.util.units constants: each *is a value* in the base unit.
+    # Every repro.util.units constant: each *is a value* in its base unit.
     "BPS": BPS, "KBPS": BPS, "MBPS": BPS, "GBPS": BPS,
-    "BYTE": BYTES, "KB": BYTES, "MB": BYTES,
+    "BYTE": BYTES,
     "MS": SECONDS, "US": SECONDS, "MINUTE": SECONDS, "HOUR": SECONDS,
     "DAY": SECONDS,
     # Ubiquitous sim-time identifiers without a suffix.

@@ -20,27 +20,21 @@ FRAME_DURATION_S = SAMPLES_PER_FRAME / SAMPLE_RATE_HZ
 
 #: The two nominal VBR operating points observed in the captures.
 NOMINAL_BITRATES_BPS = (32_000.0, 64_000.0)
+#: Standard deviation of a frame's size, relative to the nominal mean.
+VBR_SPREAD = 0.18
 
 
 class AacEncoderModel:
     """Generate VBR audio frames at one of the two nominal bitrates."""
 
-    def __init__(
-        self,
-        rng: random.Random,
-        nominal_bps: float = 0.0,
-        vbr_spread: float = 0.18,
-    ) -> None:
+    def __init__(self, rng: random.Random, nominal_bps: float = 0.0) -> None:
         if nominal_bps == 0.0:
             nominal_bps = rng.choice(NOMINAL_BITRATES_BPS)
         if nominal_bps not in NOMINAL_BITRATES_BPS:
             raise ValueError(
                 f"nominal bitrate must be one of {NOMINAL_BITRATES_BPS}, got {nominal_bps}"
             )
-        if not 0 <= vbr_spread < 1:
-            raise ValueError("vbr_spread must be in [0, 1)")
         self.nominal_bps = nominal_bps
-        self.vbr_spread = vbr_spread
         self._rng = rng
         self._index = 0
 
@@ -51,7 +45,7 @@ class AacEncoderModel:
         mean_bytes = self.nominal_bps * FRAME_DURATION_S / 8.0
         pts = 0.0
         while pts < duration_s:
-            size = self._rng.gauss(mean_bytes, mean_bytes * self.vbr_spread)
+            size = self._rng.gauss(mean_bytes, mean_bytes * VBR_SPREAD)
             nbytes = max(8, int(round(size)))
             yield AudioFrame(index=self._index, pts=pts, nbytes=nbytes)
             self._index += 1

@@ -1,9 +1,10 @@
 """Elementary-stream serialization of encoded frames.
 
-For the byte-fidelity experiments, frames are serialized into a compact
-tagged format that plays the role of the AVC/AAC elementary streams: the
-FLV muxer (RTMP path) and the MPEG-TS muxer (HLS path) carry these bytes,
-the capture pipeline reassembles them from packets, and the inspector in
+Where a caller wants real bytes on the wire (sessions send sizes only),
+frames are serialized into a compact tagged format that plays the role
+of the AVC/AAC elementary streams: RTMP media messages and the MPEG-TS
+muxer (HLS path) carry these bytes, the capture pipeline reassembles
+them from packets, and the inspector in
 :mod:`repro.capture.inspector` parses them back — recovering exactly the
 per-frame facts (type, size, QP, timestamps) that the paper extracted
 with libav.
@@ -21,7 +22,7 @@ Audio record layout::
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.media.frames import AudioFrame, EncodedFrame
 
@@ -37,8 +38,8 @@ _LEN = struct.Struct(">I")
 _AUDIO_HEAD = struct.Struct(">Bd")
 
 
-def encode_video_frame(frame: EncodedFrame, fill: int = 0) -> bytes:
-    """Serialize one video frame; the payload is ``frame.nbytes`` filler
+def encode_video_frame(frame: EncodedFrame) -> bytes:
+    """Serialize one video frame; the payload is ``frame.nbytes`` zero
     bytes (content entropy is irrelevant to every measurement here)."""
     head = _VIDEO_HEAD.pack(
         VIDEO_MAGIC,
@@ -52,16 +53,17 @@ def encode_video_frame(frame: EncodedFrame, fill: int = 0) -> bytes:
     if frame.ntp_timestamp is not None:
         parts.append(_NTP.pack(frame.ntp_timestamp))
     parts.append(_LEN.pack(frame.nbytes))
-    parts.append(bytes([fill]) * frame.nbytes)
+    parts.append(bytes(frame.nbytes))
     return b"".join(parts)
 
 
-def encode_audio_frame(frame: AudioFrame, fill: int = 0) -> bytes:
-    """Serialize one audio frame."""
+def encode_audio_frame(frame: AudioFrame) -> bytes:
+    """Serialize one audio frame; the payload is ``frame.nbytes`` zero
+    bytes."""
     return (
         _AUDIO_HEAD.pack(AUDIO_MAGIC, float(frame.pts))
         + _LEN.pack(frame.nbytes)
-        + bytes([fill]) * frame.nbytes
+        + bytes(frame.nbytes)
     )
 
 

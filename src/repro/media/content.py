@@ -15,7 +15,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)

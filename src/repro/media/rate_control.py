@@ -33,6 +33,12 @@ TYPE_FACTOR = {"I": 4.5, "P": 1.0, "B": 0.55}
 #: complexity 1.0 lands near the paper's typical 300 kbps.
 BASE_P_FRAME_BITS = 7200.0
 
+#: Proportional gain: each second of excess buffered bits raises QP by
+#: this many halvings of frame size (6 QP each).
+QP_REACTION = 0.5
+#: Bound on the QP change between two frames.
+MAX_QP_STEP = 2.0
+
 
 def bits_for_frame(frame_type: str, qp: float, complexity: float) -> float:
     """Size in bits of one frame under the R-QP model."""
@@ -59,27 +65,19 @@ class RateController:
     """ABR-style single-pass rate control.
 
     A virtual buffer drains at the target bitrate and fills with actual
-    frame bits; QP follows the buffer error with a proportional step,
-    bounded to ±`max_qp_step` per frame so quality doesn't flicker — the
+    frame bits; QP starts at :data:`QP_REF` and follows the buffer error
+    with a proportional step, bounded to ±:data:`MAX_QP_STEP` per frame
+    so quality doesn't flicker — the
     same compromise real encoders make, and the reason short-term bitrate
     overshoots on scene changes (visible as Fig. 6(a) spread).
     """
 
-    def __init__(
-        self,
-        target_bps: float,
-        fps: float,
-        initial_qp: float = QP_REF,
-        reaction: float = 0.5,
-        max_qp_step: float = 2.0,
-    ) -> None:
+    def __init__(self, target_bps: float, fps: float) -> None:
         if target_bps <= 0 or fps <= 0:
             raise ValueError("target bitrate and fps must be positive")
         self.target_bps = target_bps
         self.fps = fps
-        self.reaction = reaction
-        self.max_qp_step = max_qp_step
-        self._qp = min(max(initial_qp, QP_MIN), QP_MAX)
+        self._qp = QP_REF
         self._buffer_bits = 0.0
         self._frames = 0
 
@@ -99,11 +97,11 @@ class RateController:
         self._buffer_bits += bits - per_frame_budget
         self._frames += 1
         # Proportional controller on buffer error, in QP units: one second
-        # of excess buffered bits maps to `reaction` QP steps of 6/ln(2)...
-        # kept simple and bounded.
+        # of excess buffered bits maps to `QP_REACTION` QP steps of
+        # 6/ln(2)... kept simple and bounded.
         error_seconds = self._buffer_bits / self.target_bps
-        step = self.reaction * error_seconds * 6.0
-        step = min(max(step, -self.max_qp_step), self.max_qp_step)
+        step = QP_REACTION * error_seconds * 6.0
+        step = min(max(step, -MAX_QP_STEP), MAX_QP_STEP)
         self._qp = min(max(self._qp + step, QP_MIN), QP_MAX)
         if self._qp >= QP_MAX:
             # The controller is pinned at its quality floor: this frame's

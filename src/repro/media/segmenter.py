@@ -14,6 +14,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.media.frames import AudioFrame, EncodedFrame
 
+#: Segment duration the packager aims at; a segment closes at the first
+#: I frame past it.
+SEGMENT_TARGET_S = 3.6
+
 
 @dataclass
 class HlsSegment:
@@ -52,17 +56,12 @@ class HlsSegment:
 
 
 class HlsSegmenter:
-    """Group a frame stream into segments of ~``target_duration_s``.
+    """Group a frame stream into segments of ~:data:`SEGMENT_TARGET_S`.
 
     A segment closes at the first I frame after the target duration has
     elapsed, so actual durations are quantized to GOP lengths — between 3
     and 6 seconds for the parameters seen in the wild.
     """
-
-    def __init__(self, target_duration_s: float = 3.6) -> None:
-        if target_duration_s <= 0:
-            raise ValueError("target duration must be positive")
-        self.target_duration_s = target_duration_s
 
     def segment(
         self,
@@ -88,7 +87,7 @@ class HlsSegmenter:
                 current = HlsSegment(sequence=sequence, start_pts=frame.pts)
             elif (
                 frame.frame_type == "I"
-                and frame.pts - current.start_pts >= self.target_duration_s
+                and frame.pts - current.start_pts >= SEGMENT_TARGET_S
             ):
                 yield close(current, frame.pts)
                 sequence += 1

@@ -34,10 +34,10 @@ from repro.netsim.packet import MSS, Packet
 _flow_ids = itertools.count(1)
 _message_ids = itertools.count(1)
 
-#: Default window of unacknowledged bytes per connection.  64 kB is the
-#: classic un-scaled TCP receive window; with RTTs of tens of milliseconds
-#: it supports well above the stream rates in this study.
-DEFAULT_WINDOW_BYTES = 64 * 1024
+#: Window of unacknowledged bytes per connection.  64 kB is the classic
+#: un-scaled TCP receive window; with RTTs of tens of milliseconds it
+#: supports well above the stream rates in this study.
+WINDOW_BYTES = 64 * 1024
 
 #: ACK packets carry no payload bytes (pure header on the wire).
 ACK_BYTES = 0
@@ -51,9 +51,9 @@ class Message:
     nbytes: int
     annotations: Dict[str, Any] = field(default_factory=dict)
     message_id: int = field(default_factory=lambda: next(_message_ids))
-    #: Real bytes, when the experiment runs at byte fidelity.  When set,
-    #: each packet carries its slice so captures can be reassembled into
-    #: the original bitstream.
+    #: Real bytes, when a caller sets them (sessions send sizes only).
+    #: When set, each packet carries its slice so captures can be
+    #: reassembled into the original bitstream.
     data: Optional[bytes] = None
     #: Filled in by the connection when the message is queued / delivered.
     queued_at: float = -1.0
@@ -126,18 +126,15 @@ class Connection:
         forward: Path,
         reverse: Path,
         on_message: Optional[Callable[[Message, float], None]] = None,
-        window_bytes: int = DEFAULT_WINDOW_BYTES,
         name: str = "",
     ) -> None:
-        if window_bytes < MSS:
-            raise ValueError("window must hold at least one segment")
         if forward.src is not reverse.dst or forward.dst is not reverse.src:
             raise ValueError("reverse path must mirror the forward path endpoints")
         self.loop = loop
         self.forward = forward
         self.reverse = reverse
         self.on_message = on_message
-        self.window_bytes = window_bytes
+        self.window_bytes = WINDOW_BYTES
         self.flow_id = next(_flow_ids)
         self.name = name or f"conn{self.flow_id}"
         self.closed = False

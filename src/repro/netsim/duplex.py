@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.netsim.connection import Connection, Message, Path
+from repro.netsim.connection import Connection, Message
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network
 
@@ -32,7 +32,6 @@ class DuplexStream:
         loop: EventLoop,
         net: Network,
         *host_names: str,
-        window_bytes: Optional[int] = None,
         name: str = "",
     ) -> None:
         if len(host_names) < 2:
@@ -42,20 +41,17 @@ class DuplexStream:
         self.on_at_a: Optional[MessageHandler] = None
         self.on_at_b: Optional[MessageHandler] = None
 
-        kwargs = {}
-        if window_bytes is not None:
-            kwargs["window_bytes"] = window_bytes
         fwd_ab, rev_ab = net.duplex_paths(*host_names)
         self._a_to_b = Connection(
             loop, fwd_ab, rev_ab,
             on_message=lambda m, t: self._dispatch(self.on_at_b, m, t),
-            name=f"{self.name}:a->b", **kwargs,
+            name=f"{self.name}:a->b",
         )
         fwd_ba, rev_ba = net.duplex_paths(*reversed(host_names))
         self._b_to_a = Connection(
             loop, fwd_ba, rev_ba,
             on_message=lambda m, t: self._dispatch(self.on_at_a, m, t),
-            name=f"{self.name}:b->a", **kwargs,
+            name=f"{self.name}:b->a",
         )
 
     @staticmethod

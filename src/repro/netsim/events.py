@@ -138,7 +138,7 @@ class EventLoop:
         self._processed += 1
         assert callback is not None
         if self.profiler is not None:
-            self.profiler.run_callback(self._now, callback)
+            self.profiler.run_callback(callback)
         else:
             callback()
         return True

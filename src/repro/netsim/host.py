@@ -10,7 +10,7 @@ at intermediate hosts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link

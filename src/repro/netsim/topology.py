@@ -7,7 +7,7 @@ link pair between two hosts) out of experiment code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.netsim.events import EventLoop
 from repro.netsim.host import Host
@@ -58,23 +58,15 @@ class Network:
         b: Host,
         rate_bps: float,
         delay_s: float,
-        up_rate_bps: Optional[float] = None,
-        up_shaper: Optional[TokenBucketShaper] = None,
         down_shaper: Optional[TokenBucketShaper] = None,
     ) -> DuplexLink:
         """Create and wire a duplex link ``a <-> b``.
 
-        ``rate_bps`` applies a→b (the "down" direction when *b* is the
-        client); ``up_rate_bps`` defaults to symmetric.
+        ``rate_bps`` and ``delay_s`` apply both ways; ``down_shaper``
+        shapes only a→b (the "down" direction when *b* is the client).
         """
         ab = Link(self.loop, rate_bps, delay_s, name=f"{a.name}->{b.name}", shaper=down_shaper)
-        ba = Link(
-            self.loop,
-            up_rate_bps if up_rate_bps is not None else rate_bps,
-            delay_s,
-            name=f"{b.name}->{a.name}",
-            shaper=up_shaper,
-        )
+        ba = Link(self.loop, rate_bps, delay_s, name=f"{b.name}->{a.name}")
         b.terminate(ab)
         a.terminate(ba)
         duplex = DuplexLink(a=a, b=b, a_to_b=ab, b_to_a=ba)

@@ -85,13 +85,9 @@ class TraceCapture:
             grouped.setdefault(record.flow_id, []).append(record)
         return grouped
 
-    def data_records(self, flow_id: Optional[int] = None) -> List[PacketRecord]:
-        """Non-ACK records, optionally restricted to one flow."""
-        return [
-            r
-            for r in self.records
-            if not r.is_ack and (flow_id is None or r.flow_id == flow_id)
-        ]
+    def data_records(self) -> List[PacketRecord]:
+        """Non-ACK records."""
+        return [r for r in self.records if not r.is_ack]
 
     def total_bytes(self, direction: Optional[str] = None, include_acks: bool = True) -> int:
         """Total wire bytes observed (for traffic-volume comparisons)."""

@@ -229,14 +229,14 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._family(name, "histogram", help, buckets).child(labels)  # type: ignore[return-value]
 
-    def declare(self, name: str, kind: str, help: str = "",
-                buckets: Sequence[float] = DEFAULT_BUCKETS) -> MetricFamily:
+    def declare(self, name: str, kind: str, help: str = "") -> MetricFamily:
         """Register a family without creating a child, so the series
         shows up in exports (HELP/TYPE at least) even before — or
-        without — its first event."""
+        without — its first event.  A declared histogram has the
+        :data:`DEFAULT_BUCKETS`."""
         if kind not in _KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
-        return self._family(name, kind, help, buckets)
+        return self._family(name, kind, help, DEFAULT_BUCKETS)
 
     # ------------------------------------------------------------ snapshots
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict, List, Optional, Tuple
-
-OnEventTap = Callable[[float, str], None]
+from typing import Callable, Dict, List, Tuple
 
 
 def callback_site(callback: Callable[..., object]) -> str:
@@ -52,17 +50,14 @@ class SiteStats:
 class EventLoopProfiler:
     """Aggregates fired-event attribution across event loops."""
 
-    def __init__(self, on_event: Optional[OnEventTap] = None) -> None:
+    def __init__(self) -> None:
         self.sites: Dict[str, SiteStats] = {}
         self.events_profiled = 0
         self.queue_depth_high_water = 0
-        #: Optional tap called as ``on_event(sim_time, site)`` after each
-        #: fired callback — a debugging hook, not a control surface.
-        self.on_event = on_event
 
     # ------------------------------------------------------------ loop hooks
 
-    def run_callback(self, now: float, callback: Callable[[], None]) -> None:
+    def run_callback(self, callback: Callable[[], None]) -> None:
         """Invoke ``callback``, attributing its wall time to its site."""
         site = callback_site(callback)
         started = time.perf_counter()
@@ -76,8 +71,6 @@ class EventLoopProfiler:
             stats.count += 1
             stats.wall_s += elapsed
             self.events_profiled += 1
-            if self.on_event is not None:
-                self.on_event(now, site)
 
     def note_queue_depth(self, depth: int) -> None:
         if depth > self.queue_depth_high_water:

@@ -68,7 +68,11 @@ class PlaybackReport:
 
 
 class PlayoutBuffer:
-    """Event-driven playout model over a session's event loop."""
+    """Event-driven playout model over a session's event loop.
+
+    The session starts at time 0 on ``loop``: join time runs from 0 to
+    the first displayed frame, and the watch from 0 to ``finalize``.
+    """
 
     def __init__(
         self,
@@ -76,7 +80,6 @@ class PlayoutBuffer:
         start_threshold_s: float,
         rebuffer_threshold_s: float,
         broadcast_start: float,
-        session_start: float = 0.0,
     ) -> None:
         if start_threshold_s <= 0 or rebuffer_threshold_s <= 0:
             raise ValueError("thresholds must be positive")
@@ -84,7 +87,6 @@ class PlayoutBuffer:
         self.start_threshold_s = start_threshold_s
         self.rebuffer_threshold_s = rebuffer_threshold_s
         self.broadcast_start = broadcast_start
-        self.session_start = session_start
 
         self._buffered_until: Optional[float] = None  # media frontier (pts)
         self._play_origin: Optional[float] = None     # pts where playback begins
@@ -200,7 +202,7 @@ class PlayoutBuffer:
                     telemetry.metrics.histogram(
                         "player_join_seconds",
                         "Session start to first displayed frame",
-                    ).observe(now - self.session_start)
+                    ).observe(now)
                 if telemetry.enabled and telemetry.causes_on:
                     self._record_join_window(telemetry, now)
                 self._begin_playing(now)
@@ -264,8 +266,8 @@ class PlayoutBuffer:
             return
         record = telemetry.causes.record_window(
             "join",
-            start=self.session_start,
-            duration=now - self.session_start,
+            start=0.0,
+            duration=now,
             base=self._causes_join_base,
         )
         self.join_causes = record.causes
@@ -305,7 +307,7 @@ class PlayoutBuffer:
         if self._stall_event is not None:
             self._stall_event.cancel()
             self._stall_event = None
-        watch = end_time - self.session_start
+        watch = end_time
         telemetry = obs.active()
         if self._started_at is None:
             # The whole session was join wait; close its window here.
@@ -338,7 +340,7 @@ class PlayoutBuffer:
         )
         if telemetry.enabled and telemetry.health_on:
             total_stall = sum(s.duration for s in self._stalls)
-            join = self._started_at - self.session_start
+            join = self._started_at
             telemetry.health.check(
                 "player.stall_within_watch",
                 0.0 <= total_stall <= watch + 1e-9,
@@ -352,7 +354,7 @@ class PlayoutBuffer:
             )
         return PlaybackReport(
             started=True,
-            join_time_s=self._started_at - self.session_start,
+            join_time_s=self._started_at,
             playback_s=playback,
             stalls=list(self._stalls),
             mean_playback_latency_s=mean_latency,
@@ -378,7 +380,6 @@ class Player:
         start_threshold_s: float,
         rebuffer_threshold_s: float,
         broadcast_start: float,
-        session_start: float,
         capture_clock_error_s: float,
     ) -> None:
         self.loop = loop
@@ -387,7 +388,6 @@ class Player:
             start_threshold_s=start_threshold_s,
             rebuffer_threshold_s=rebuffer_threshold_s,
             broadcast_start=broadcast_start,
-            session_start=session_start,
         )
         self.capture_clock_error_s = capture_clock_error_s
         self.delivery_latency_samples: List[float] = []

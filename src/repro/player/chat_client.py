@@ -10,7 +10,7 @@ the paper's proposed mitigation, used by the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Union
+from typing import List, Sequence, Set, Union
 
 from repro.netsim.connection import Message
 from repro.netsim.events import EventLoop

@@ -44,13 +44,12 @@ class HlsPlayer(Player):
         segment_client: HttpClient,
         playlist_path: str,
         broadcast_start: float,
-        session_start: float = 0.0,
         capture_clock_error_s: float = 0.0,
         transport_retry: RetryPolicy = HLS_TRANSPORT_RETRY,
         retry_rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(loop, HLS_START_THRESHOLD_S, HLS_REBUFFER_THRESHOLD_S,
-                         broadcast_start, session_start, capture_clock_error_s)
+                         broadcast_start, capture_clock_error_s)
         self.playlist_client = playlist_client
         self.segment_client = segment_client
         self.playlist_path = playlist_path

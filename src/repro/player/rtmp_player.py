@@ -31,13 +31,12 @@ class RtmpPlayer(Player):
         self,
         loop: EventLoop,
         broadcast_start: float,
-        session_start: float = 0.0,
         capture_clock_error_s: float = 0.0,
         start_threshold_s: float = RTMP_START_THRESHOLD_S,
         rebuffer_threshold_s: float = RTMP_REBUFFER_THRESHOLD_S,
     ) -> None:
         super().__init__(loop, start_threshold_s, rebuffer_threshold_s,
-                         broadcast_start, session_start, capture_clock_error_s)
+                         broadcast_start, capture_clock_error_s)
         self.video_frames: List[EncodedFrame] = []
         #: Reconnect probes walked (ingest outages; see begin_reconnect).
         self.reconnect_attempts = 0

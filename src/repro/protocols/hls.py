@@ -18,6 +18,9 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+#: Segments a live playlist lists at once.
+LIVE_WINDOW_SEGMENTS = 3
+
 
 @dataclass(frozen=True)
 class PlaylistEntry:
@@ -176,15 +179,13 @@ class MediaPlaylist:
 class LiveWindow:
     """Server-side sliding window of the most recent segments.
 
-    A live HLS origin keeps only the last ``window_size`` segments in the
-    playlist; older ones age out (clients that fall behind skip forward).
+    A live HLS origin keeps only the last :data:`LIVE_WINDOW_SEGMENTS`
+    segments in the playlist; older ones age out (clients that fall
+    behind skip forward).
     """
 
-    def __init__(self, target_duration_s: float, window_size: int = 3) -> None:
-        if window_size < 1:
-            raise ValueError("window must hold at least one segment")
+    def __init__(self, target_duration_s: float) -> None:
         self.target_duration_s = target_duration_s
-        self.window_size = window_size
         self._entries: List[PlaylistEntry] = []
         self._next_sequence = 0
         #: Rendered playlist shared by every poll between mutations.
@@ -196,7 +197,7 @@ class LiveWindow:
         entry = PlaylistEntry(uri=uri, duration_s=duration_s, sequence=self._next_sequence)
         self._next_sequence += 1
         self._entries.append(entry)
-        if len(self._entries) > self.window_size:
+        if len(self._entries) > LIVE_WINDOW_SEGMENTS:
             self._entries.pop(0)
         self._playlist_cache = None
         return entry

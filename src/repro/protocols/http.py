@@ -84,16 +84,11 @@ class HttpResponse:
     body_bytes: int = 0
     #: Opaque payload object (e.g. a TS segment) delivered to the client.
     payload: Any = None
-    #: Real payload bytes for byte-fidelity runs.
-    data: Optional[bytes] = None
     request_id: int = -1
-    headers: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.json_body is not None and self.body_bytes == 0:
             self.body_bytes = len(json.dumps(self.json_body, separators=(",", ":")))
-        if self.data is not None:
-            self.body_bytes = len(self.data)
 
     @property
     def nbytes(self) -> int:
@@ -141,16 +136,10 @@ class HttpServer:
             self.requests_served += 1
             if self.stream.closed:
                 return
-            # Byte-fidelity payloads ride as header-prefixed raw bytes so a
-            # packet capture can reassemble the exact segment contents.
-            wire_data = None
-            if response.data is not None:
-                wire_data = bytes(RESPONSE_HEADER_BYTES) + response.data
             self.stream.send_from_b(
                 Message(
                     payload=response,
                     nbytes=response.nbytes,
-                    data=wire_data,
                     annotations={
                         "protocol": "http",
                         "kind": "response",

@@ -15,7 +15,9 @@ Two layers live here:
   enough for the capture pipeline to dissect streams the way wireshark's
   RTMP dissector does; and
 * :class:`RtmpPushSession`, the server side that runs the protocol over
-  a simulated connection.
+  a simulated connection.  It sends each frame's exact chunked size
+  without serializing it; the byte-level encoding is the reference that
+  size is checked against.
 """
 
 from __future__ import annotations
@@ -246,37 +248,25 @@ class RtmpPushSession:
     latency behaviour of the RTMP path.
     """
 
-    def __init__(self, connection: Connection, byte_fidelity: bool = False) -> None:
+    def __init__(self, connection: Connection) -> None:
         self.connection = connection
-        self.byte_fidelity = byte_fidelity
         self.frames_pushed = 0
         self.bytes_pushed = 0
 
     def push_frame(self, frame: Union[EncodedFrame, AudioFrame]) -> Message:
-        """Chunk and transmit one media frame right now."""
+        """Transmit one media frame right now, at its chunked size."""
+        # The chunked wire size is a pure function of the payload length
+        # (1 FLV marker byte plus the elementary-stream record), so the
+        # frame is never serialized.
         if isinstance(frame, EncodedFrame):
             kind = "video"
-            if self.byte_fidelity:
-                data = chunk_message(video_message(frame))
-                nbytes = len(data)
-            else:
-                # Size-only fast path: the chunked wire size is a pure
-                # function of the payload length (1 FLV marker byte plus
-                # the elementary-stream record), so skip serializing.
-                data = None
-                nbytes = _chunked_payload_size(1 + encoded_video_size(frame))
+            nbytes = _chunked_payload_size(1 + encoded_video_size(frame))
         else:
             kind = "audio"
-            if self.byte_fidelity:
-                data = chunk_message(audio_message(frame))
-                nbytes = len(data)
-            else:
-                data = None
-                nbytes = _chunked_payload_size(1 + encoded_audio_size(frame))
+            nbytes = _chunked_payload_size(1 + encoded_audio_size(frame))
         message = Message(
             payload=frame,
             nbytes=nbytes,
-            data=data,
             annotations={
                 "protocol": "rtmp",
                 "kind": kind,
@@ -289,9 +279,10 @@ class RtmpPushSession:
         return self.connection.send(message)
 
 
-def _chunked_payload_size(payload_len: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
-    """Wire size of a ``payload_len``-byte message after chunking."""
-    n_continuations = (payload_len - 1) // chunk_size
+def _chunked_payload_size(payload_len: int) -> int:
+    """Wire size of a ``payload_len``-byte message after chunking at
+    :data:`DEFAULT_CHUNK_SIZE`."""
+    n_continuations = (payload_len - 1) // DEFAULT_CHUNK_SIZE
     if n_continuations < 0:
         n_continuations = 0
     return 12 + payload_len + n_continuations

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Any, Dict
 
 
-def text_frame_size(text: str, masked: bool = False) -> int:
-    """Wire size of a text frame without serializing it (for traffic
-    accounting at token fidelity)."""
+def text_frame_size(text: str) -> int:
+    """Wire size of an unmasked (server-to-client) text frame without
+    serializing it (for traffic accounting at token fidelity)."""
     length = len(text.encode("utf-8"))
     if length < 126:
         header = 2
@@ -22,7 +22,7 @@ def text_frame_size(text: str, masked: bool = False) -> int:
         header = 4
     else:
         header = 10
-    return header + (4 if masked else 0) + length
+    return header + length
 
 
 def chat_message_json(

@@ -23,19 +23,15 @@ crawler identities in parallel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
 from repro.service.broadcast import Broadcast
 from repro.service.geo import GeoRect
-from repro.service.ingest import CDN_EDGES, IngestPool, nearest_cdn_edge
-from repro.service.selection import (
-    DEFAULT_HLS_VIEWER_THRESHOLD,
-    DeliveryProtocol,
-    select_protocol,
-)
+from repro.service.ingest import CDN_EDGES, IngestPool
+from repro.service.selection import DeliveryProtocol, select_protocol
 from repro.service.world import ServiceWorld
 
 API_PATH = "/api/v2/apiRequest"
@@ -102,22 +98,14 @@ class ApiServer:
         clock: Callable[[], float],
         rng: random.Random,
         rate_limiter: Optional[RateLimiter] = None,
-        hls_threshold: float = DEFAULT_HLS_VIEWER_THRESHOLD,
-        error_injector: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.world = world
         self.ingest = ingest
         self.clock = clock
         self._rng = rng
         self.rate_limiter = rate_limiter or RateLimiter()
-        self.hls_threshold = hls_threshold
-        #: Fault hook: when it returns True the request is answered with
-        #: an injected 503 (see :class:`repro.faults.plan.ApiErrorInjector`).
-        #: Draws from its own stream, so ``None`` changes nothing.
-        self.error_injector = error_injector
         self.playback_metas: List[PlaybackMetaRecord] = []
         self.requests_handled = 0
-        self.errors_injected = 0
 
     # ------------------------------------------------------------- dispatch
 
@@ -139,18 +127,6 @@ class ApiServer:
                 ).inc()
             return HttpResponse(
                 HttpStatus.TOO_MANY_REQUESTS, json_body={"error": "Too many requests"}
-            )
-        if self.error_injector is not None and self.error_injector():
-            self.errors_injected += 1
-            if metrics_on:
-                telemetry.metrics.counter(
-                    "faults_injected_total",
-                    "Fault events injected across layers",
-                    kind="api-5xx", command=str(command),
-                ).inc()
-            return HttpResponse(
-                HttpStatus.SERVICE_UNAVAILABLE,
-                json_body={"error": "Service Unavailable"},
             )
         self.requests_handled += 1
         if metrics_on:
@@ -237,7 +213,7 @@ class ApiServer:
         broadcast = self.world.get_broadcast(str(broadcast_id))
         if broadcast is None:
             raise ApiError(f"unknown broadcast {broadcast_id!r}")
-        protocol = select_protocol(broadcast, self.world.now, self.hls_threshold)
+        protocol = select_protocol(broadcast, self.world.now)
         if protocol == DeliveryProtocol.RTMP:
             server = self.ingest.nearest_to(broadcast.location)
             return HttpResponse(

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.media.content import ContentProfile, pick_profile
 from repro.media.encoder import GopPattern
@@ -196,7 +195,6 @@ def sample_broadcast(
     start_time: float,
     location: GeoPoint,
     center: PopulationCenter,
-    username: Optional[str] = None,
 ) -> Broadcast:
     """Draw a complete broadcast with correlated traits."""
     mean_viewers = sample_mean_viewers(rng)
@@ -210,7 +208,7 @@ def sample_broadcast(
     replay_prob = VIEWED_REPLAY_PROB if has_viewers else ZERO_VIEWER_REPLAY_PROB
     return Broadcast(
         broadcast_id=make_broadcast_id(rng),
-        username=username or f"user{rng.randrange(10**8):08d}",
+        username=f"user{rng.randrange(10**8):08d}",
         start_time=start_time,
         duration_s=sample_duration_s(rng, has_viewers),
         location=location,

@@ -142,20 +142,20 @@ class ChatFeed:
                 avatar_bytes=avatar_bytes,
             )
 
-    def history(self, count: int = JOIN_HISTORY_MESSAGES) -> List["ChatMessage"]:
-        """The recent messages delivered as a burst at join time.
+    def history(self) -> List["ChatMessage"]:
+        """The last :data:`JOIN_HISTORY_MESSAGES` messages, delivered as
+        a burst at join time.
 
         The app renders the tail of the conversation immediately, which
         with the chat pane on means an immediate burst of avatar
         downloads competing with the initial video buffering.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        window = count / self.message_rate_per_s if self.message_rate_per_s > 0 else 0.0
+        rate = self.message_rate_per_s
+        window = JOIN_HISTORY_MESSAGES / rate if rate > 0 else 0.0
         if window <= 0:
             return []
         backlog = list(self.messages(window, start=-window))
-        burst = backlog[-count:]
+        burst = backlog[-JOIN_HISTORY_MESSAGES:]
         telemetry = obs.active()
         if telemetry.enabled and telemetry.metrics_on:
             telemetry.metrics.histogram(

@@ -28,16 +28,17 @@ from repro.media.audio import AacEncoderModel
 from repro.media.content import ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import AudioFrame, EncodedFrame
-from repro.media.segmenter import HlsSegment
+from repro.media.segmenter import SEGMENT_TARGET_S, HlsSegment
 from repro.netsim.events import EventLoop
 from repro.protocols.hls import LiveWindow
 from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
-from repro.protocols.mpegts import mux_segment
 from repro.protocols.rtmp import RtmpPushSession
 from repro.service.broadcast import Broadcast
 from repro.util.rng import child_rng
 
 #: Overhead multiplier of MPEG-TS packetization (188/184 plus PES/PSI).
+#: An estimate: ``mpegts.mux_segment`` of the same frames runs 1.11-1.46x
+#: the frame bytes (ROADMAP item 2).
 TS_OVERHEAD_FACTOR = 1.05
 
 MediaFrame = Union[EncodedFrame, AudioFrame]
@@ -319,36 +320,31 @@ class HlsOrigin:
     Completed segments incur ``packaging_delay_s`` (repackaging and
     possible transcoding at the Periscope backend before the CDN has
     them) and then enter the live window.  The HTTP handler answers
-    ``GET <broadcast>/playlist.m3u8`` and ``GET <segment uri>``.
+    ``GET <broadcast>/playlist.m3u8`` and ``GET <segment uri>``; a
+    segment goes out as its frame bytes times :data:`TS_OVERHEAD_FACTOR`.
     """
 
     def __init__(
         self,
         loop: EventLoop,
         driver: LiveSourceDriver,
-        target_segment_s: float = 3.6,
-        window_size: int = 3,
-        packaging_delay_s: Optional[float] = None,
-        byte_fidelity: bool = False,
         outage_windows: Sequence[Tuple[float, float]] = (),
     ) -> None:
         self.loop = loop
         self.driver = driver
-        self.segmenter_target = target_segment_s
         #: Ingest/packager outage windows: a segment whose publish time
         #: lands inside one is published when the outage ends (viewers
         #: see a stale playlist meanwhile — the HLS face of an ingest
         #: fault).
         self.outage_windows = sorted(outage_windows)
         self.publishes_deferred = 0
-        if packaging_delay_s is None:
-            # Packaging/transcode time varies per backend placement and
-            # stream; sampled once per broadcast.
-            rng = child_rng(driver.broadcast.seed, "packaging")
-            packaging_delay_s = min(max(rng.lognormvariate(math.log(2.3), 0.35), 0.9), 5.5)
-        self.packaging_delay_s = packaging_delay_s
-        self.byte_fidelity = byte_fidelity
-        self.window = LiveWindow(target_duration_s=target_segment_s, window_size=window_size)
+        # Packaging/transcode time varies per backend placement and
+        # stream; sampled once per broadcast.
+        rng = child_rng(driver.broadcast.seed, "packaging")
+        self.packaging_delay_s = min(
+            max(rng.lognormvariate(math.log(2.3), 0.35), 0.9), 5.5
+        )
+        self.window = LiveWindow(target_duration_s=SEGMENT_TARGET_S)
         self._segments: Dict[str, HlsSegment] = {}
         self._current: Optional[HlsSegment] = None
         self._sequence = 0
@@ -373,7 +369,7 @@ class HlsOrigin:
             return
         if self._current is not None and (
             frame.frame_type == "I"
-            and frame.pts - self._current.start_pts >= self.segmenter_target
+            and frame.pts - self._current.start_pts >= SEGMENT_TARGET_S
         ):
             self._close_segment(self._current, arrival, historical)
             self._current = None
@@ -428,9 +424,6 @@ class HlsOrigin:
         segment = self._segments.get(uri)
         if segment is None:
             return HttpResponse(HttpStatus.NOT_FOUND, json_body={"error": "no such segment"})
-        if self.byte_fidelity:
-            data = mux_segment(segment.video_frames, segment.audio_frames)
-            return HttpResponse(HttpStatus.OK, data=data, payload=segment)
         return HttpResponse(
             HttpStatus.OK,
             body_bytes=int(segment.nbytes * TS_OVERHEAD_FACTOR),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.service.geo import GeoPoint
 
@@ -63,11 +63,9 @@ CDN_EDGES: Tuple[CdnEdge, ...] = (
 class IngestPool:
     """The fleet of RTMP ingest servers with nearest-broadcaster routing."""
 
-    def __init__(self, rng: random.Random, server_count: int = RTMP_SERVER_COUNT) -> None:
-        if server_count < len(EC2_REGIONS):
-            raise ValueError("need at least one server per region")
+    def __init__(self, rng: random.Random) -> None:
         self.servers: List[RtmpIngestServer] = []
-        for index in range(server_count):
+        for index in range(RTMP_SERVER_COUNT):
             region, region_loc = EC2_REGIONS[index % len(EC2_REGIONS)]
             location = GeoPoint(
                 min(max(region_loc.lat + rng.gauss(0.0, 0.3), -89.9), 89.9),
@@ -83,25 +81,12 @@ class IngestPool:
                 )
             )
 
-    def nearest_to(
-        self,
-        location: GeoPoint,
-        exclude_regions: FrozenSet[str] = frozenset(),
-    ) -> RtmpIngestServer:
+    def nearest_to(self, location: GeoPoint) -> RtmpIngestServer:
         """The ingest server chosen at broadcast initialization: nearest
-        to the *broadcaster*.  ``exclude_regions`` supports regional
-        failover: during an ingest outage the re-resolved server comes
-        from the nearest healthy region instead."""
-        candidates = [
-            s for s in self.servers if s.region not in exclude_regions
-        ]
-        if not candidates:
-            raise ValueError("every ingest region is excluded")
-        return min(candidates, key=lambda s: s.location.distance_deg(location))
+        to the *broadcaster*."""
+        return min(self.servers, key=lambda s: s.location.distance_deg(location))
 
 
-def nearest_cdn_edge(
-    viewer_location: GeoPoint, edges: Sequence[CdnEdge] = CDN_EDGES
-) -> CdnEdge:
+def nearest_cdn_edge(viewer_location: GeoPoint) -> CdnEdge:
     """The CDN edge chosen at request time: nearest to the *viewer*."""
-    return min(edges, key=lambda e: e.location.distance_deg(viewer_location))
+    return min(CDN_EDGES, key=lambda e: e.location.distance_deg(viewer_location))

@@ -28,7 +28,12 @@ def _digest(*parts: Seedable) -> int:
 
 
 def make_rng(seed: Seedable) -> random.Random:
-    """Create a :class:`random.Random` from any seed material."""
+    """Create a :class:`random.Random` from any seed material.
+
+    Seeds other than bytes are hashed as ``str(seed)``, so
+    ``make_rng(1)`` and ``make_rng("1")`` are one stream.  Every stored
+    digest depends on that encoding.
+    """
     return random.Random(_digest(seed))
 
 

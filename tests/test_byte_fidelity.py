@@ -1,9 +1,11 @@
 """Byte-fidelity end-to-end: real bytes over the wire, real dissection.
 
-These tests run the delivery paths with actual serialized bytes in each
-packet and verify that the capture-side parsers (the wireshark/libav
-stand-ins) recover the exact media — the strongest cross-check between
-the producing and measuring halves of the reproduction.
+Sessions send sizes only.  These tests serialize the frames a delivery
+path produces themselves, the way ``examples/video_quality_inspection.py``
+does, send the bytes over a connection with capture on, and verify that
+the capture-side parsers (the wireshark/libav stand-ins) recover the
+exact media — the strongest cross-check between the producing and
+measuring halves of the reproduction.
 """
 
 import random
@@ -13,7 +15,7 @@ import pytest
 from repro.capture.inspector import inspect_frames
 from repro.capture.reconstruct import reassemble_flows
 from repro.media.frames import AudioFrame, EncodedFrame
-from repro.netsim.connection import Connection
+from repro.netsim.connection import Connection, Message
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network
 from repro.netsim.trace import TraceCapture
@@ -33,6 +35,22 @@ def make_broadcast(seed=11):
     return b
 
 
+class BytePush:
+    """Pushes each frame as its real chunked RTMP bytes."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def push_frame(self, frame):
+        if isinstance(frame, EncodedFrame):
+            message = rtmp.video_message(frame)
+        else:
+            message = rtmp.audio_message(frame)
+        data = rtmp.chunk_message(message)
+        return self.conn.send(Message(payload=frame, nbytes=len(data), data=data,
+                                      annotations={"protocol": "rtmp"}))
+
+
 class TestRtmpByteFidelity:
     def _run(self, watch=10.0):
         loop = EventLoop()
@@ -47,8 +65,7 @@ class TestRtmpByteFidelity:
                           on_message=lambda m, t: received.append(m.payload))
         driver = LiveSourceDriver(loop, make_broadcast(), age_at_join=5.0,
                                   horizon_s=watch, generate_from=2.0)
-        push = rtmp.RtmpPushSession(conn, byte_fidelity=True)
-        delivery = RtmpDelivery(push, driver)
+        delivery = RtmpDelivery(BytePush(conn), driver)
         driver.start()
         delivery.start()
         loop.run_until(watch)
@@ -94,20 +111,39 @@ class TestHlsByteFidelity:
         loop = EventLoop()
         driver = LiveSourceDriver(loop, make_broadcast(seed=12), age_at_join=30.0,
                                   horizon_s=10.0, generate_from=14.0)
-        origin = HlsOrigin(loop, driver, byte_fidelity=True)
+        origin = HlsOrigin(loop, driver)
         driver.start()
         origin.start()
         loop.run_until(10.0)
         playlist = origin.window.playlist()
         assert playlist.entries
+
+        wire = EventLoop()
+        net = Network(wire)
+        cdn, phone = net.host("cdn"), net.host("phone")
+        net.duplex(cdn, phone, rate_bps=50 * MBPS, delay_s=0.02)
+        capture = TraceCapture(capture_payload=True)
+        capture.tap_link(net.link_between(cdn, phone), "down")
+        conn = Connection(wire, *net.duplex_paths("cdn", "phone"))
+        sent = []
         for entry in playlist.entries:
-            response = origin.handle(HttpRequest("GET", f"/{entry.uri}"), "c")
-            result = mpegts.demux_segment(response.data)
+            segment = origin.handle(HttpRequest("GET", f"/{entry.uri}"), "c").payload
+            data = mpegts.mux_segment(segment.video_frames, segment.audio_frames)
+            conn.send(Message(payload=segment, nbytes=len(data), data=data))
+            sent.append((segment, data))
+        wire.run()
+
+        (stream,) = reassemble_flows(capture).values()
+        assert stream.data == b"".join(data for _, data in sent)
+        offset = 0
+        for segment, data in sent:
+            result = mpegts.demux_segment(stream.data[offset:offset + len(data)])
+            offset += len(data)
             assert result.continuity_errors == 0
-            assert len(result.video_frames) == len(response.payload.video_frames)
+            assert len(result.video_frames) == len(segment.video_frames)
             # Byte sizes on the wire match the segment's media payload.
             media_bytes = sum(f.nbytes for f in result.video_frames) + sum(
                 a.nbytes for a in result.audio_frames
             )
-            assert len(response.data) > media_bytes  # container overhead
-            assert len(response.data) < media_bytes * 1.35
+            assert len(data) > media_bytes  # container overhead
+            assert len(data) < media_bytes * 1.35

@@ -11,12 +11,11 @@ from repro.capture.reconstruct import (
     extract_rtmp_frames,
     reassemble_flows,
 )
-from repro.core.session import SessionSetup, ViewingSession
 from repro.media.content import CONTENT_PROFILES, ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import EncodedFrame
 from repro.service.selection import DeliveryProtocol
-from tests.test_core_session import make_broadcast, run_captured, session_setup
+from tests.test_core_session import run_captured, session_setup
 
 
 @pytest.fixture(scope="module")

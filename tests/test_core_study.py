@@ -138,3 +138,10 @@ def test_study_deterministic():
     b = AutomatedViewingStudy(StudyConfig(seed=123)).run_batch(3)
     assert [s.broadcast_id for s in a.sessions] == [s.broadcast_id for s in b.sessions]
     assert [s.join_time_s for s in a.sessions] == [s.join_time_s for s in b.sessions]
+
+
+def test_zero_workers_run_inline_like_one():
+    # Regression: ``--workers 0`` divided by zero while planning chunks.
+    zero = AutomatedViewingStudy(StudyConfig(seed=77, workers=0)).run_batch(3)
+    one = AutomatedViewingStudy(StudyConfig(seed=77, workers=1)).run_batch(3)
+    assert zero.sessions == one.sessions

@@ -10,6 +10,7 @@ from repro.crawler.analysis import analyze_tracked
 from repro.crawler.client import CrawlHarness
 from repro.crawler.deep import DeepCrawler
 from repro.crawler.targeted import TargetedCrawl, TrackedBroadcast
+from repro.faults.retry import CRAWLER_RETRY
 from repro.service.api import RateLimiter
 
 
@@ -106,8 +107,8 @@ class TestBoundedRetry:
                     lambda response, now: outcomes.append(response.status))
         loop.run()  # must terminate — the old loop never did
         assert client.gave_up == 1
-        assert client.requests_sent == 1 + client.retry.max_attempts
-        assert client.retries == client.retry.max_attempts
+        assert client.requests_sent == 1 + CRAWLER_RETRY.max_attempts
+        assert client.retries == CRAWLER_RETRY.max_attempts
         assert outcomes == [HttpStatus.TOO_MANY_REQUESTS]
         assert client.throttled == client.requests_sent  # every try 429'd
 
@@ -153,7 +154,7 @@ class TestRateLimiting:
             rate_limiter=RateLimiter(rate_per_s=0.5, burst=2),
         )
         client = harness.clients[0]
-        client.pace_s = 0.05  # hammer the API
+        # The 0.85 s pacing asks for more than the bucket's 0.5/s.
         crawler = DeepCrawler(client, max_depth=2)
         crawler.start()
         harness.run_until(900.0)

@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from repro.energy.components import (
-    GALAXY_S4_MODEL,
-    ComponentPowerModel,
-    LTE_PARAMS,
-    Radio,
-    WIFI_PARAMS,
-)
+from repro.energy.components import GALAXY_S4_MODEL, LTE_PARAMS, Radio, WIFI_PARAMS
 from repro.energy.monsoon import MonsoonMonitor
 from repro.energy.states import (
     APP_STATES,

@@ -22,8 +22,6 @@ class TestAacModel:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             AacEncoderModel(random.Random(1), nominal_bps=48_000.0)
-        with pytest.raises(ValueError):
-            AacEncoderModel(random.Random(1), vbr_spread=1.5)
 
     def test_frame_cadence(self):
         enc = AacEncoderModel(random.Random(2), nominal_bps=64_000.0)
@@ -66,7 +64,7 @@ class TestHlsSegmenter:
 
     def test_segment_durations_in_paper_range(self):
         video, audio = encoded_broadcast(duration=120.0)
-        segments = list(HlsSegmenter(target_duration_s=3.6).segment(video, audio))
+        segments = list(HlsSegmenter().segment(video, audio))
         closed = segments[:-1]  # final partial segment excluded
         for seg in closed:
             assert 2.5 <= seg.duration_s <= 6.5
@@ -93,10 +91,6 @@ class TestHlsSegmenter:
         for seg in segments:
             assert 50_000 < seg.nbytes * 8.0 / seg.duration_s < 2_000_000
             assert 10 <= seg.average_qp() <= 51
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HlsSegmenter(target_duration_s=0)
 
     def test_ip_only_stream_segments(self):
         video, audio = encoded_broadcast(gop=GopPattern("IP"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.connection import Connection, Message
+from repro.netsim.connection import WINDOW_BYTES, Connection, Message
 from repro.netsim.events import EventLoop
 from repro.netsim.packet import MSS
 from repro.netsim.topology import Network
@@ -17,12 +17,10 @@ def two_host_net(rate_bps=10 * MBPS, delay_s=0.01):
     return loop, net
 
 
-def make_conn(loop, net, chain=("a", "b"), **kwargs):
+def make_conn(loop, net, chain=("a", "b")):
     fwd, rev = net.duplex_paths(*chain)
     inbox = []
-    conn = Connection(
-        loop, fwd, rev, on_message=lambda m, t: inbox.append((m, t)), **kwargs
-    )
+    conn = Connection(loop, fwd, rev, on_message=lambda m, t: inbox.append((m, t)))
     return conn, inbox
 
 
@@ -59,19 +57,12 @@ def test_messages_arrive_in_order():
 
 def test_window_limits_in_flight_bytes():
     loop, net = two_host_net(rate_bps=0.1 * MBPS)
-    conn, _ = make_conn(loop, net, window_bytes=4 * MSS)
+    conn, _ = make_conn(loop, net)
     conn.send(Message(payload=None, nbytes=100 * MSS))
-    assert conn.in_flight_bytes <= 4 * MSS
-    assert conn.backlog_bytes >= 90 * MSS
+    assert conn.in_flight_bytes <= WINDOW_BYTES
+    assert conn.backlog_bytes >= 100 * MSS - WINDOW_BYTES
     loop.run()
     assert conn.in_flight_bytes == 0
-
-
-def test_window_validation():
-    loop, net = two_host_net()
-    fwd, rev = net.duplex_paths("a", "b")
-    with pytest.raises(ValueError):
-        Connection(loop, fwd, rev, window_bytes=10)
 
 
 def test_two_flows_share_bottleneck_roughly_fairly():

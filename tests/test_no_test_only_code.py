@@ -16,6 +16,13 @@ program runs.  ``__init__`` re-exports and ``__all__`` do not count.
 
 Every definition left unreached must be listed in ``KEPT`` with the
 reason it stays.
+
+A second scan covers the module-level imports of the same modules
+(``__init__`` re-exports aside).  An import is read when its module
+uses the bound name (a ``Name``, or a word of a non-docstring string
+constant, as a forward reference is) or when some module under
+``src/``, ``examples/``, ``benchmarks/``, ``perfbench/`` or ``tests/``
+imports that name from it.
 """
 
 import ast
@@ -26,6 +33,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 REFERRING_DIRS = ("src", "examples", "benchmarks", "perfbench")
+IMPORTING_DIRS = REFERRING_DIRS + ("tests",)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _WINDOW = "read-only window that tests use to check live state"
@@ -64,6 +72,9 @@ KEPT: Dict[str, str] = {
     "repro.netsim.trace:TraceCapture.flows": _CAPTURE,
     "repro.protocols.rtmp:ChunkParser": _CAPTURE,
     "repro.protocols.rtmp:media_frame_of": _CAPTURE,
+    "repro.protocols.rtmp:chunk_message": _CAPTURE,
+    "repro.protocols.rtmp:video_message": _CAPTURE,
+    "repro.protocols.rtmp:audio_message": _CAPTURE,
 }
 
 
@@ -202,4 +213,55 @@ def test_kept_entries_are_still_unreached():
     assert not stale, (
         "KEPT entries that are gone or now reached by the program; drop them:\n  "
         + "\n  ".join(stale)
+    )
+
+
+def _bound_names(stmt: ast.AST) -> Iterator[str]:
+    for alias in stmt.names:
+        if alias.name != "*":
+            yield alias.asname or alias.name.split(".")[0]
+
+
+def unread_imports() -> List[str]:
+    """``module:name`` per module-level import that nothing reads."""
+    imported_from: Set[Tuple[str, str]] = set()
+    for top in IMPORTING_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    imported_from.update((node.module, a.name) for a in node.names)
+    unread: List[str] = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py" or path.relative_to(PACKAGE).parts[0] == "lint":
+            continue
+        module = _module_name(path)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = _docstring_nodes(tree)
+        read: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                read.update(WORD.findall(node.value))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+            ):
+                unread.extend(
+                    f"{module}:{name}"
+                    for name in _bound_names(stmt)
+                    if name not in read and (module, name) not in imported_from
+                )
+    return unread
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, (
+        "module-level imports that nothing reads; delete them:\n  "
+        + "\n  ".join(unread)
     )

@@ -24,7 +24,6 @@ from repro.obs.causes import (
     CAUSES,
     KIND_JOIN,
     KIND_STALL,
-    AttributionRecord,
     CauseCollector,
     clamp_attribution,
 )

@@ -122,18 +122,6 @@ def test_profiler_attributes_all_fired_events():
         assert all(wall >= 0.0 for _, _, wall in profiler.table())
 
 
-def test_profiler_on_event_tap_sees_sim_time_and_site():
-    with obs.session() as telemetry:
-        seen = []
-        telemetry.profiler.on_event = lambda now, site: seen.append((now, site))
-        loop = EventLoop()
-        loop.schedule(1.5, lambda: None)
-        loop.run()
-    assert len(seen) == 1
-    assert seen[0][0] == 1.5
-    assert "<lambda>" in seen[0][1]
-
-
 def test_loop_without_telemetry_has_no_profiler():
     assert EventLoop().profiler is None
 

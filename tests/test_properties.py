@@ -6,13 +6,12 @@ and the binary containers.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.media.frames import AudioFrame, EncodedFrame
+from repro.media.frames import EncodedFrame
 from repro.netsim.connection import Connection, Message
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network

@@ -8,21 +8,17 @@ from repro.protocols.hls import LiveWindow, MediaPlaylist, PlaylistEntry
 from repro.protocols.websocket import chat_message_json, text_frame_size
 
 
-def encode_frame(payload, mask_key=None):
-    """Serialize one final text frame per RFC 6455 base framing; a
-    4-byte ``mask_key`` masks it as a client-to-server frame must be."""
-    mask_bit = 0x80 if mask_key is not None else 0x00
+def encode_frame(payload):
+    """Serialize one final, unmasked text frame per RFC 6455 base
+    framing, as a server sends it."""
     length = len(payload)
     if length < 126:
-        header = bytes([0x81, mask_bit | length])
+        header = bytes([0x81, length])
     elif length < 1 << 16:
-        header = bytes([0x81, mask_bit | 126]) + struct.pack(">H", length)
+        header = bytes([0x81, 126]) + struct.pack(">H", length)
     else:
-        header = bytes([0x81, mask_bit | 127]) + struct.pack(">Q", length)
-    if mask_key is None:
-        return header + payload
-    masked = bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
-    return header + mask_key + masked
+        header = bytes([0x81, 127]) + struct.pack(">Q", length)
+    return header + payload
 
 
 class TestMediaPlaylist:
@@ -134,7 +130,7 @@ class TestMediaPlaylist:
 
 class TestLiveWindow:
     def test_window_slides(self):
-        window = LiveWindow(target_duration_s=3.6, window_size=3)
+        window = LiveWindow(target_duration_s=3.6)
         for i in range(5):
             window.add_segment(f"seg{i}.ts", 3.6)
         playlist = window.playlist()
@@ -146,18 +142,11 @@ class TestLiveWindow:
         window = LiveWindow(target_duration_s=4.0)
         assert window.playlist().entries == []
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LiveWindow(target_duration_s=4.0, window_size=0)
-
 
 class TestWebSocket:
     def test_text_frame_size_matches_encoding(self):
         for text in ("hi", "x" * 200, "y" * 70_000):
             assert text_frame_size(text) == len(encode_frame(text.encode()))
-            assert text_frame_size(text, masked=True) == len(
-                encode_frame(text.encode(), mask_key=b"abcd")
-            )
 
     def test_frame_json_helpers(self):
         message = chat_message_json("alice", "hi there", has_avatar=True)
@@ -277,7 +266,7 @@ class TestRenderByteCache:
 
 class TestLiveWindowPlaylistCache:
     def test_playlist_cached_between_mutations(self):
-        window = LiveWindow(target_duration_s=3.6, window_size=3)
+        window = LiveWindow(target_duration_s=3.6)
         window.add_segment("seg0.ts", 3.6)
         first = window.playlist()
         assert window.playlist() is first

@@ -149,7 +149,7 @@ class TestMediaMessages:
 
 
 class TestPushSession:
-    def _session(self, byte_fidelity=False):
+    def _session(self):
         loop = EventLoop()
         net = Network(loop)
         server, phone = net.host("ingest"), net.host("phone")
@@ -163,7 +163,7 @@ class TestPushSession:
                 received.append((message.payload, now))
 
         conn = Connection(loop, fwd, rev, on_message=receive)
-        return loop, rtmp.RtmpPushSession(conn, byte_fidelity=byte_fidelity), received
+        return loop, rtmp.RtmpPushSession(conn), received
 
     def test_frames_arrive_promptly(self):
         loop, session, received = self._session()
@@ -176,10 +176,21 @@ class TestPushSession:
         assert 0.02 < t - 1.0 < 0.05
 
     def test_byte_fidelity_frames_carry_chunked_bytes(self):
-        loop, session, received = self._session(byte_fidelity=True)
-        session.push_frame(vframe(nbytes=5000))
-        loop.run()
-        assert len(received) == 1
+        """Each frame goes out at the size of its real chunked encoding,
+        across the chunk-size boundaries."""
+        _, session, _ = self._session()
+        frames = [
+            vframe(nbytes=nbytes, ntp_timestamp=ntp)
+            for nbytes in [1, 900, 8191, 8192, 8193, 50_000] + list(range(4040, 4110))
+            for ntp in (None, 12.5)
+        ] + [AudioFrame(index=0, pts=0.0, nbytes=nbytes)
+             for nbytes in (8, 90, 4070, 4080, 4090, 9000)]
+        for frame in frames:
+            if isinstance(frame, EncodedFrame):
+                encoded = rtmp.chunk_message(rtmp.video_message(frame))
+            else:
+                encoded = rtmp.chunk_message(rtmp.audio_message(frame))
+            assert session.push_frame(frame).nbytes == len(encoded)
 
     def test_session_counters(self):
         loop, session, received = self._session()

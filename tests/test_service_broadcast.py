@@ -12,7 +12,6 @@ from oracles import BroadcastState, state_at
 from repro.media.encoder import GopPattern
 from repro.service.broadcast import (
     BROADCAST_ID_LENGTH,
-    Broadcast,
     make_broadcast_id,
     sample_broadcast,
     sample_duration_s,
@@ -81,22 +80,6 @@ def test_broadcast_id_redraws_rejected_words_as_choice_does():
         assert rng.getstate() == oracle.getstate()
         rejected_seen.add(oracle.words - BROADCAST_ID_LENGTH)
     assert {0, 1, 2, 3} <= rejected_seen
-
-
-class NoUsernameDraw(random.Random):
-    """A stream on which drawing a ``user########`` name fails."""
-
-    def randrange(self, *args, **kwargs):
-        raise AssertionError("drew a username")
-
-
-def test_named_broadcast_draws_no_username():
-    broadcast = sample_broadcast(NoUsernameDraw(5), 0.0, GeoPoint(0, 0),
-                                 POPULATION_CENTERS[0], username="alice")
-    assert broadcast.username == "alice"
-    with pytest.raises(AssertionError, match="drew a username"):
-        sample_broadcast(NoUsernameDraw(5), 0.0, GeoPoint(0, 0),
-                         POPULATION_CENTERS[0])
 
 
 def test_state_transitions():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.media.frames import AudioFrame, EncodedFrame
+from repro.media.frames import EncodedFrame
 from repro.netsim.connection import Connection
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network
@@ -153,11 +153,11 @@ class TestRtmpDelivery:
 
 
 class TestHlsOrigin:
-    def _origin(self, age=30.0, **kwargs):
+    def _origin(self, age=30.0):
         loop = EventLoop()
         driver = LiveSourceDriver(loop, make_broadcast(seed=3), age_at_join=age,
                                   horizon_s=20.0, generate_from=max(0.0, age - 16.0))
-        origin = HlsOrigin(loop, driver, **kwargs)
+        origin = HlsOrigin(loop, driver)
         driver.start()
         origin.start()
         return loop, origin
@@ -201,14 +201,3 @@ class TestHlsOrigin:
         loop, origin = self._origin()
         resp = origin.handle(HttpRequest("POST", "/b/playlist.m3u8", json_body={}), "c")
         assert resp.status == HttpStatus.NOT_FOUND
-
-    def test_byte_fidelity_returns_real_ts(self):
-        from repro.protocols import mpegts
-
-        loop, origin = self._origin(byte_fidelity=True)
-        resp = origin.handle(HttpRequest("GET", "/b/playlist.m3u8"), "c")
-        seg_resp = origin.handle(
-            HttpRequest("GET", f"/{resp.payload.entries[-1].uri}"), "c"
-        )
-        result = mpegts.demux_segment(seg_resp.data)
-        assert len(result.video_frames) == len(seg_resp.payload.video_frames)

@@ -6,8 +6,6 @@ time, so world concurrency and the composition of active regions breathe
 over the day.
 """
 
-import pytest
-
 from oracles import contains
 from repro.service.geo import GeoRect
 from repro.service.world import ServiceWorld, WorldParameters

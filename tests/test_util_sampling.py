@@ -1,10 +1,9 @@
 """Unit and property tests for the workload samplers."""
 
-import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.sampling import (
